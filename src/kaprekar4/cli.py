@@ -4,7 +4,8 @@ Subcommands: trajectory, fixed-points, sweep, histogram, verify.  Tabular
 commands emit CSV with a fixed column order, LF line endings and '.' as the
 decimal separator; JSON output follows the schemas shipped under
 ``kaprekar4/schemas``.  Exit codes: 0 success / all checks match,
-1 verification mismatch, 2 usage error, 3 undetermined orbit.
+1 verification mismatch, 2 usage error, 3 undetermined orbit, 4 internal
+error (a crash, out of memory, a broken worker pool).
 """
 
 from __future__ import annotations
@@ -585,6 +586,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

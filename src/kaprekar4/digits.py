@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 MIN_BASE = 2
-MAX_BASE = 1 << 16  # keeps b**4, and every intermediate, well inside 64 bits
+# Python ints never overflow, but numpy paths do: 65536**4 = 2**64 does not
+# fit in int64, and b**4 fits only for b <= 55108
+MAX_BASE = 1 << 16
 
 Digits = tuple[int, int, int, int]
 

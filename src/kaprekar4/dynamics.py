@@ -15,12 +15,10 @@ from fractions import Fraction
 from .digits import DigitQuad, check_base, join_digits, split_digits, step_value, to_digits
 from .pairs import (
     Pair,
-    canonical_pairs,
     fixed_pair,
     pair_count,
     pair_of_digits,
     predecessors_of,
-    step_pair,
 )
 
 
@@ -128,28 +126,10 @@ class PairDistanceMap:
         return self.steps.get(pair)
 
 
-def _forward_pair_distances(b: int, fixed: Pair) -> dict[Pair, int]:
-    steps: dict[Pair, int] = {fixed: 0}
-    for start in canonical_pairs(b):
-        path: list[Pair] = []
-        on_path: set[Pair] = set()
-        cur = start
-        while cur not in steps and cur not in on_path:
-            path.append(cur)
-            on_path.add(cur)
-            cur = step_pair(cur, b)
-        if cur in steps:
-            base_steps = steps[cur]
-            for offset, q in enumerate(reversed(path), start=1):
-                steps[q] = base_steps + offset
-        # a revisit within the path means a cycle avoiding the fixed pair:
-        # every pair on the path stays absent
-    return steps
-
-
 def pair_distance_map(b: int) -> PairDistanceMap:
     """Reverse breadth-first distances to the fixed pair; needs 5 | b.
 
+    ``verify --depth deep`` checks the map against the forward pair step.
     For bases 2 and 4 there is no fixed pair; use the enumeration route of
     :func:`base_report` instead.
     """
@@ -164,7 +144,6 @@ def pair_distance_map(b: int) -> PairDistanceMap:
                     steps[q] = steps[p] + 1
                     nxt.append(q)
         frontier = nxt
-    assert steps == _forward_pair_distances(b, target), b
     return PairDistanceMap(base=b, fixed=target, steps=steps)
 
 

@@ -255,36 +255,25 @@ def predecessors_condensed(p: DifferencePair) -> set[DifferencePair]:
 # ---------------------------------------------------------------------------
 
 
-def _arrangements(o: tuple[int, int, int, int]) -> int:
-    # 4! / (product of multiplicity factorials) for an ascending 4-tuple
-    e1, e2, e3 = o[0] == o[1], o[1] == o[2], o[2] == o[3]
-    if e1 and e2 and e3:
-        return 1
-    if (e1 and e2) or (e2 and e3):
-        return 4
-    if e1 and e3:
-        return 6
-    if e1 or e2 or e3:
-        return 12
-    return 24
-
-
 def pair_count(pair: Pair, b: int) -> int:
     """Number of the b^4 numerals whose difference pair equals ``pair``.
 
     Sorted digits with pair (d, dp) are (s+d, s+t+dp, s+t, s) for a shift
     s in [0, b-d) and a slack t in [0, d-dp]; each (s, t) contributes the
-    arrangements of the offset multiset {0, t, t+dp, d}.  The well-known
-    24*(b-d)*(d-dp) closed form is the all-distinct specialisation and
-    overcounts whenever dp = 0 or d = dp.
+    arrangements of the offset multiset {0, t, t+dp, d}.  Summing those over
+    t gives one exact closed form per pair shape: b for d = 0,
+    (b-d)(12d-4) for dp = 0, 6(b-d) for d = dp, and 24(b-d)(d-dp) otherwise.
     """
     d, dp = pair
     if not 0 <= dp <= d <= b - 1:
         raise ValueError(f"({d}, {dp}) is not canonical for base {b}")
-    total = 0
-    for t in range(d - dp + 1):
-        total += _arrangements((0, t, t + dp, d))
-    return (b - d) * total
+    if d == 0:
+        return b
+    if dp == 0:
+        return (b - d) * (12 * d - 4)
+    if d == dp:
+        return 6 * (b - d)
+    return 24 * (b - d) * (d - dp)
 
 
 def count_representatives(p: DifferencePair) -> int:

@@ -26,6 +26,7 @@ from .digits import to_digits
 from .pairs import (
     Pair,
     PairType,
+    _canon,
     canonical_pairs,
     classify_pair,
     condensed_predecessors_of,
@@ -123,6 +124,8 @@ def _check_fixed_numeral_landing(b: int) -> Check:
 
 
 def _check_predecessor_inversion(b: int) -> Check:
+    """The predecessor tables equal a scan of the forward step and, when
+    5 | b, the reverse-BFS distance map equals the forward walk."""
     preimage: dict[Pair, set[Pair]] = {}
     for p in canonical_pairs(b):
         preimage.setdefault(step_pair(p, b), set()).add(p)
@@ -132,6 +135,19 @@ def _check_predecessor_inversion(b: int) -> Check:
             return Check("predecessor-inversion", False, f"table wrong at {p}")
         if b % 4 == 0 and b > 4 and condensed_predecessors_of(p, b) != scanned:
             return Check("predecessor-inversion", False, f"condensed rules wrong at {p}")
+    del preimage  # released before the distance map is built
+    if b % 5 == 0:
+        # The fixed pair has distance 0 and every other pair is in the map
+        # exactly when its image is, one step further out.  Distances then
+        # fall by one along each orbit in the map, so it reaches the fixed
+        # pair: these rules hold exactly when the map equals the forward walk.
+        steps = pair_distance_map(b).steps
+        fixed = fixed_pair(b)
+        for p in canonical_pairs(b):
+            t = steps.get(step_pair(p, b))
+            want = 0 if p == fixed else None if t is None else t + 1
+            if steps.get(p) != want:
+                return Check("predecessor-inversion", False, f"distance map wrong at {p}")
     return Check("predecessor-inversion", True)
 
 
@@ -146,10 +162,6 @@ def _check_no_fixed_numeral(b: int) -> Check:
     self_fixed = {p for p in canonical_pairs(b) if step_pair(p, b) == p}
     ok = self_fixed == {(0, 0)}
     return Check("no-fixed-numeral", ok, "" if ok else f"self-fixed pairs {self_fixed}")
-
-
-def _canon(x: int, y: int) -> Pair:
-    return (x, y) if x >= y else (y, x)
 
 
 def _h_set(pair: Pair, b: int) -> frozenset[Pair]:

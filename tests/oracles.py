@@ -2,12 +2,15 @@
 
 Deliberately different mechanics from the package: the step is computed by
 converting whole rearrangements to integers and subtracting (the package
-subtracts digit columns), and preimages/counts come from exhaustive scans.
+subtracts digit columns), and preimages/counts come from exhaustive scans.  Pair distances come from a
+forward walk of every pair orbit (the package walks predecessors backwards).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+
+from kaprekar4.pairs import canonical_pairs, step_pair
 
 
 def oracle_digits(x: int, b: int) -> tuple[int, int, int, int]:
@@ -82,3 +85,23 @@ def oracle_distance(x: int, b: int, fixed_values: set[int], cap: int = 100000) -
         seen.add(cur)
         cur = oracle_step(cur, b)
     raise AssertionError("oracle distance cap exceeded")
+
+
+def oracle_pair_distances(b: int, fixed: tuple[int, int]) -> dict[tuple[int, int], int]:
+    """Steps from each pair to ``fixed``, by walking every pair orbit forward."""
+    steps: dict[tuple[int, int], int] = {fixed: 0}
+    for start in canonical_pairs(b):
+        path: list[tuple[int, int]] = []
+        on_path: set[tuple[int, int]] = set()
+        cur = start
+        while cur not in steps and cur not in on_path:
+            path.append(cur)
+            on_path.add(cur)
+            cur = step_pair(cur, b)
+        if cur in steps:
+            base_steps = steps[cur]
+            for offset, q in enumerate(reversed(path), start=1):
+                steps[q] = base_steps + offset
+        # a revisit within the path means a cycle avoiding the fixed pair:
+        # every pair on the path stays absent
+    return steps

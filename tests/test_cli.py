@@ -315,3 +315,41 @@ def test_json_outputs_deterministic(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# crashes and imports
+# ---------------------------------------------------------------------------
+
+
+def test_internal_error_exit_4(capsys, monkeypatch):
+    import kaprekar4.cli as cli_mod
+
+    def crash(b, method="auto"):
+        raise RuntimeError("planted crash")
+
+    monkeypatch.setattr(cli_mod, "base_report", crash)
+    code, out, err = run(capsys, "sweep", "--bases", "10..10", "--jobs", "1")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: ") and "planted crash" in err
+
+
+def test_cli_import_does_not_load_numpy():
+    # only the enumeration route needs numpy; every other command starts without it
+    import os
+    import subprocess
+    import sys
+
+    import kaprekar4
+
+    src = os.path.dirname(os.path.dirname(kaprekar4.__file__))
+    probe = 'import sys, kaprekar4.cli; print("numpy" in sys.modules)'
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"

@@ -16,7 +16,7 @@ from kaprekar4.dynamics import (
     trajectory,
 )
 from kaprekar4.pairs import canonical_pairs, pair_count, step_pair
-from oracles import oracle_distance, oracle_step
+from oracles import oracle_distance, oracle_pair_distances, oracle_step
 
 
 def test_worked_chain_from_0889():
@@ -97,6 +97,12 @@ def test_pair_distances_decrease_along_step():
         for p, s in pdm.steps.items():
             if s > 0:
                 assert pdm.steps[step_pair(p, b)] == s - 1
+
+
+def test_pair_distance_map_matches_forward_walk():
+    for b in range(5, 121, 5):
+        pdm = pair_distance_map(b)
+        assert pdm.steps == oracle_pair_distances(b, pdm.fixed), b
 
 
 # ---------------------------------------------------------------------------

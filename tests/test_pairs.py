@@ -1,3 +1,6 @@
+from collections import Counter
+from math import factorial, prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,7 +186,7 @@ def test_count_matches_enumeration_up_to_30():
 
 
 def test_count_conservation_and_type_a_closed_form():
-    for b in (2, 3, 7, 10, 24, 59, 60):
+    for b in (2, 3, 7, 10, 24, 59, 60, 320, 641):
         total = 0
         for p in canonical_pairs(b):
             n = pair_count(p, b)
@@ -194,19 +197,36 @@ def test_count_conservation_and_type_a_closed_form():
         assert total == b**4
 
 
+def _offset_multiset_count(pair, b):
+    # the derivation in pair_count's docstring, summed term by term
+    d, dp = pair
+    total = 0
+    for t in range(d - dp + 1):
+        multiplicities = Counter((0, t, t + dp, d)).values()
+        total += 24 // prod(factorial(c) for c in multiplicities)
+    return (b - d) * total
+
+
 def test_count_closed_forms_by_shape():
-    # specialisations of the offset-multiset sum
-    for b in (5, 10, 33):
+    # one exact closed form per pair shape; every shape is exercised
+    for b in (5, 10, 33, 64):
+        shapes = set()
         for d, dp in canonical_pairs(b):
             n = pair_count((d, dp), b)
+            assert n == _offset_multiset_count((d, dp), b), (b, d, dp)
             if d == 0:
+                shapes.add("zero")
                 assert n == b
             elif dp == 0:
+                shapes.add("inner-zero")
                 assert n == (12 * d - 4) * (b - d)
             elif d == dp:
+                shapes.add("equal")
                 assert n == 6 * (b - d)
             else:
+                shapes.add("general")
                 assert n == 24 * (b - d) * (d - dp)
+        assert shapes == {"zero", "inner-zero", "equal", "general"}
 
 
 # ---------------------------------------------------------------------------

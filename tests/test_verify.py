@@ -78,3 +78,50 @@ def test_all_match_detects_failures():
     rep2 = verify_base(10)
     rep2.max_distance_verdict = MISMATCH
     assert not rep2.all_match
+
+
+# ---------------------------------------------------------------------------
+# the distance-map check inside predecessor-inversion
+# ---------------------------------------------------------------------------
+
+
+def _break_distance_map(monkeypatch, corrupt):
+    import kaprekar4.verify as verify_mod
+
+    real = verify_mod.pair_distance_map
+
+    def broken(b):
+        pdm = real(b)
+        corrupt(pdm.steps)
+        return pdm
+
+    monkeypatch.setattr(verify_mod, "pair_distance_map", broken)
+
+
+def _off_by_one(steps):
+    p = max(steps, key=steps.get)
+    steps[p] += 1
+
+
+def _drop_one(steps):
+    del steps[max(steps, key=steps.get)]
+
+
+def _add_one(steps):
+    # the orbit of (2, 2) never reaches the fixed pair of base 20
+    assert (2, 2) not in steps
+    steps[(2, 2)] = 1
+
+
+@pytest.mark.parametrize("corrupt", [_off_by_one, _drop_one, _add_one])
+def test_wrong_distance_map_fails_predecessor_inversion(monkeypatch, capsys, corrupt):
+    from kaprekar4.cli import main
+
+    _break_distance_map(monkeypatch, corrupt)
+    rep = verify_base(20, "deep")
+    (check,) = [c for c in rep.checks if c.label == "predecessor-inversion"]
+    assert not check.passed
+    assert check.detail.startswith("distance map wrong at ")
+    assert not rep.all_match
+    assert main(["verify", "--bases", "20..20", "--depth", "deep", "--jobs", "1"]) == 1
+    capsys.readouterr()
