@@ -7,7 +7,6 @@ and convergent fractions, and a verification harness comparing the two.
 
 from .digits import (
     DigitQuad,
-    from_digits,
     is_repdigit,
     join_digits,
     kaprekar_step,
@@ -26,25 +25,17 @@ from .dynamics import (
     UndeterminedOrbitError,
     ZeroSink,
     base_report,
-    distance_histogram,
     fixed_numeral_value,
     integer_distance,
     pair_distance_map,
     trajectory,
 )
 from .pairs import (
-    DifferencePair,
     PairType,
     canonical_pairs,
-    classify,
-    count_representatives,
     fixed_pair,
     pair_count,
-    pair_of,
     pair_of_digits,
-    pair_step,
-    predecessors,
-    predecessors_condensed,
     step_pair,
 )
 from .predictions import (

@@ -66,10 +66,6 @@ def to_digits(x: int, b: int) -> DigitQuad:
     return DigitQuad(b, split_digits(x, b))
 
 
-def from_digits(q: DigitQuad) -> int:
-    return q.value
-
-
 def step_digits(digits: Digits, b: int) -> Digits:
     """One subtraction step on a digit tuple, done column by column.
 

@@ -251,10 +251,3 @@ def base_report(b: int, method: str = "auto") -> BaseReport:
 
         return convergence_report(b, with_basins=True)
     return _empty_report(b)
-
-
-def distance_histogram(b: int) -> dict[int, int]:
-    """Distance -> numeral count; only for bases with a fixed numeral."""
-    if b % 5 != 0 and b not in (2, 4):
-        raise ValueError(f"base {b} has no non-zero fixed numeral")
-    return base_report(b).histogram

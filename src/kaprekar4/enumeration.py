@@ -66,10 +66,12 @@ def pair_code_table(b: int) -> np.ndarray:
 
 
 def distance_table(b: int, with_basins: bool = False):
-    """(distances, fixed values[, basin roots]) for all of [0, b^4).
+    """(distances, fixed values, basin roots) for all of [0, b^4).
 
     distance -1 marks orbits that never reach a non-zero fixed numeral
-    (the zero sink and genuine cycles).
+    (the zero sink and genuine cycles).  The basin roots (each value's fixed
+    numeral) are None unless ``with_basins``; at b = 40 they would take
+    another 4 bytes per state.
     """
     k = step_table(b)
     x = np.arange(k.size, dtype=np.int32)
@@ -91,19 +93,12 @@ def distance_table(b: int, with_basins: bool = False):
         dist[mask] = nd[mask] + 1
         if root is not None:
             root[mask] = root[k][mask]
-    if with_basins:
-        return dist, fixed_values, root
-    return dist, fixed_values
+    return dist, fixed_values, root
 
 
 def convergence_report(b: int, with_basins: bool = False) -> BaseReport:
     """BaseReport assembled purely from integer orbits."""
-    if with_basins:
-        dist, fixed_values, root = distance_table(b, with_basins=True)
-    else:
-        dist, fixed_values = distance_table(b)
-        root = None
-
+    dist, fixed_values, root = distance_table(b, with_basins)
     converged = dist >= 0
     count = int(converged.sum())
     if count:

@@ -9,11 +9,10 @@ b^4 integer states to b*(b+1)/2 canonical pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .digits import DigitQuad, Digits, check_base
+from .digits import Digits, check_base
 
 Pair = tuple[int, int]
 
@@ -23,29 +22,6 @@ class PairType(Enum):
     A = "a"
     B = "b"
     C = "c"
-
-
-@dataclass(frozen=True)
-class DifferencePair:
-    """Canonical difference pair: 0 <= inner <= outer <= base - 1."""
-
-    base: int
-    outer: int
-    inner: int
-
-    def __post_init__(self) -> None:
-        check_base(self.base)
-        if not 0 <= self.inner <= self.outer <= self.base - 1:
-            raise ValueError(
-                f"({self.outer}, {self.inner}) is not canonical for base {self.base}"
-            )
-
-    def as_tuple(self) -> Pair:
-        return (self.outer, self.inner)
-
-    def scaled(self, c: int) -> "DifferencePair":
-        """Coordinate-wise multiple (c*outer, c*inner) of this pair."""
-        return DifferencePair(self.base, c * self.outer, c * self.inner)
 
 
 def canonical_pairs(b: int) -> Iterator[Pair]:
@@ -59,11 +35,6 @@ def canonical_pairs(b: int) -> Iterator[Pair]:
 def pair_of_digits(digits: Digits) -> Pair:
     s0, s1, s2, s3 = sorted(digits)
     return (s3 - s0, s2 - s1)
-
-
-def pair_of(q: DigitQuad) -> DifferencePair:
-    d, dp = pair_of_digits(q.digits)
-    return DifferencePair(q.base, d, dp)
 
 
 def classify_pair(pair: Pair, b: int) -> PairType:
@@ -80,10 +51,6 @@ def classify_pair(pair: Pair, b: int) -> PairType:
     if d == dp or d + dp == b:
         return PairType.B
     return PairType.A
-
-
-def classify(p: DifferencePair) -> PairType:
-    return classify_pair(p.as_tuple(), p.base)
 
 
 def step_pair(pair: Pair, b: int) -> Pair:
@@ -103,11 +70,6 @@ def step_pair(pair: Pair, b: int) -> Pair:
     else:
         x, y = abs(2 * d - b), abs(2 * dp - b)
     return (x, y) if x >= y else (y, x)
-
-
-def pair_step(p: DifferencePair) -> DifferencePair:
-    d, dp = step_pair(p.as_tuple(), p.base)
-    return DifferencePair(p.base, d, dp)
 
 
 def fixed_pair(b: int) -> Pair:
@@ -136,6 +98,18 @@ def fixed_pair(b: int) -> Pair:
 
 def _canon(x: int, y: int) -> Pair:
     return (x, y) if x >= y else (y, x)
+
+
+def _checked(out: set[Pair], pair: Pair, b: int) -> set[Pair]:
+    """The canonical candidates in ``out``, each of which must step onto ``pair``.
+
+    A transcription guard on the rule tables below; it raises rather than
+    asserts so that ``python -O`` keeps it.
+    """
+    out = {p for p in out if 0 <= p[1] <= p[0] <= b - 1}
+    if any(step_pair(p, b) != pair for p in out):
+        raise RuntimeError(f"a candidate in {sorted(out)} misses {pair} in base {b}")
+    return out
 
 
 def _sign_combos(d: int, dp: int, b: int) -> set[Pair]:
@@ -190,17 +164,7 @@ def predecessors_of(pair: Pair, b: int) -> set[Pair]:
         if d + dp == b - 1:
             out.update({(d + 1, 0), (dp + 1, 0)})
 
-    out = {p for p in out if 0 <= p[1] <= p[0] <= b - 1}
-    # transcription guard: every candidate must actually step onto the target
-    assert all(step_pair(p, b) == pair for p in out), (pair, b, out)
-    return out
-
-
-def predecessors(p: DifferencePair) -> set[DifferencePair]:
-    return {
-        DifferencePair(p.base, d, dp)
-        for d, dp in predecessors_of(p.as_tuple(), p.base)
-    }
+    return _checked(out, pair, b)
 
 
 def condensed_predecessors_of(pair: Pair, b: int) -> set[Pair]:
@@ -238,16 +202,7 @@ def condensed_predecessors_of(pair: Pair, b: int) -> set[Pair]:
     if d + dp == b - 1:
         out.update({(d + 1, 0), (dp + 1, 0)})
 
-    out = {p for p in out if 0 <= p[1] <= p[0] <= b - 1}
-    assert all(step_pair(p, b) == pair for p in out), (pair, b, out)
-    return out
-
-
-def predecessors_condensed(p: DifferencePair) -> set[DifferencePair]:
-    return {
-        DifferencePair(p.base, d, dp)
-        for d, dp in condensed_predecessors_of(p.as_tuple(), p.base)
-    }
+    return _checked(out, pair, b)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +229,3 @@ def pair_count(pair: Pair, b: int) -> int:
     if d == dp:
         return 6 * (b - d)
     return 24 * (b - d) * (d - dp)
-
-
-def count_representatives(p: DifferencePair) -> int:
-    return pair_count(p.as_tuple(), p.base)

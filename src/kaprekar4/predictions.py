@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digits import DigitQuad, check_base
+from .digits import DigitQuad, check_base, kaprekar_step
 from .pairs import Pair, step_pair
 
 
@@ -53,9 +53,8 @@ def fixed_point_digits(b: int) -> DigitQuad:
         raise ValueError(f"base {b} is not a multiple of 5")
     u = b // 5
     q = DigitQuad(b, (3 * u, u - 1, 4 * u - 1, 2 * u))
-    from .digits import kaprekar_step
-
-    assert kaprekar_step(q) == q, b
+    if kaprekar_step(q) != q:
+        raise RuntimeError(f"digit formula gives {q.digits}, not a fixed numeral of base {b}")
     return q
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .digits import join_digits, step_value
+from .digits import join_digits, step_value, to_digits
 from .dynamics import (
     Cycle,
     ZeroSink,
@@ -22,7 +22,6 @@ from .dynamics import (
     pair_distance_map,
     trajectory,
 )
-from .digits import to_digits
 from .pairs import (
     Pair,
     PairType,

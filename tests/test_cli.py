@@ -6,9 +6,9 @@ import jsonschema
 import pytest
 
 from kaprekar4.cli import (
-    FIXED_POINTS_CSV_HEADER,
-    HISTOGRAM_CSV_HEADER,
-    SWEEP_CSV_HEADER,
+    FIXED_POINTS_COLUMNS,
+    HISTOGRAM_COLUMNS,
+    SWEEP_COLUMNS,
     fraction_to_decimal,
     main,
     parse_base_range,
@@ -130,7 +130,7 @@ def test_fixed_points_csv_and_json(capsys):
     code, out, _ = run(capsys, "fixed-points", "--base", "20", "--format", "csv")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == FIXED_POINTS_CSV_HEADER
+    assert lines[0] == ",".join(FIXED_POINTS_COLUMNS)
     assert lines[1] == "20,97508,12,3,15,8,12,4"
 
     code, out, _ = run(capsys, "fixed-points", "--base", "4", "--format", "json")
@@ -148,7 +148,7 @@ def test_sweep_csv(capsys):
     code, out, _ = run(capsys, "sweep", "--bases", "5..10", "--format", "csv", "--jobs", "1")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == SWEEP_CSV_HEADER
+    assert lines[0] == ",".join(SWEEP_COLUMNS)
     rows = {line.split(",")[0]: line for line in lines[1:]}
     assert rows["5"] == "5,1,0,4,4,true,620,124/125,0.992000000000,124/125,true"
     assert rows["6"] == "6,,,,,,,,,,"
@@ -216,7 +216,7 @@ def test_histogram_csv(capsys):
     code, out, _ = run(capsys, "histogram", "--base", "10", "--format", "csv")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == HISTOGRAM_CSV_HEADER
+    assert lines[0] == ",".join(HISTOGRAM_COLUMNS)
     assert len(lines) == 9  # k = 0..7
     counts = [int(line.split(",")[1]) for line in lines[1:]]
     assert sum(counts) == 9990
@@ -307,7 +307,7 @@ def test_out_writes_lf_file(tmp_path):
     assert main(["histogram", "--base", "5", "--format", "csv", "--out", str(path)]) == 0
     raw = path.read_bytes()
     assert b"\r" not in raw
-    assert raw.decode().splitlines()[0] == HISTOGRAM_CSV_HEADER
+    assert raw.decode().splitlines()[0] == ",".join(HISTOGRAM_COLUMNS)
 
 
 def test_json_outputs_deterministic(capsys):

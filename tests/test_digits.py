@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from kaprekar4.digits import (
     DigitQuad,
-    from_digits,
     is_repdigit,
     kaprekar_step,
     split_digits,
@@ -47,17 +46,17 @@ def test_digit_quad_validation():
         DigitQuad(1, (0, 0, 0, 0))
 
 
-def test_from_digits_examples():
-    assert from_digits(DigitQuad(10, (0, 3, 0, 9))) == 309
-    assert from_digits(DigitQuad(2, (1, 1, 1, 1))) == 15
-    assert from_digits(DigitQuad(4, (3, 0, 2, 1))) == 201
+def test_value_examples():
+    assert DigitQuad(10, (0, 3, 0, 9)).value == 309
+    assert DigitQuad(2, (1, 1, 1, 1)).value == 15
+    assert DigitQuad(4, (3, 0, 2, 1)).value == 201
 
 
 @given(base_and_value())
 @settings(max_examples=300)
 def test_round_trip(bv):
     b, x = bv
-    assert from_digits(to_digits(x, b)) == x
+    assert to_digits(x, b).value == x
     assert split_digits(x, b) == oracle_digits(x, b)
 
 

@@ -9,7 +9,6 @@ from kaprekar4.dynamics import (
     UndeterminedOrbitError,
     ZeroSink,
     base_report,
-    distance_histogram,
     fixed_numeral_value,
     integer_distance,
     pair_distance_map,
@@ -202,14 +201,13 @@ def test_pair_weighted_histogram_structure():
 
 
 def test_distance_histogram():
-    hist = distance_histogram(10)
+    hist = base_report(10).histogram
     assert set(hist) <= set(range(8))
     assert sum(hist.values()) == 9990
-    hist5 = distance_histogram(5)
+    hist5 = base_report(5).histogram
     assert set(hist5) <= set(range(5))
     assert sum(hist5.values()) == 620
-    with pytest.raises(ValueError):
-        distance_histogram(6)
+    assert base_report(6).histogram == {}
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +239,8 @@ def test_cycles_only_where_expected():
         (40, False),
     )
     for b, expect_cycles in cases:
-        dist, _ = distance_table(b)
+        dist, _, root = distance_table(b)
+        assert root is None
         unresolved = int((dist < 0).sum()) - len(zero_orbit_values(b))
         assert (unresolved > 0) == expect_cycles, b
 

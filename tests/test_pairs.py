@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from math import factorial, prod
 
@@ -6,21 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaprekar4.digits import DigitQuad, join_digits, step_value, to_digits
+import kaprekar4.pairs as pairs_mod
+from kaprekar4.digits import join_digits, step_value, to_digits
 from kaprekar4.pairs import (
-    DifferencePair,
     PairType,
     canonical_pairs,
-    classify,
     classify_pair,
     condensed_predecessors_of,
-    count_representatives,
     fixed_pair,
     pair_count,
-    pair_of,
     pair_of_digits,
-    pair_step,
-    predecessors,
     predecessors_of,
     step_pair,
 )
@@ -37,30 +35,30 @@ def base_and_pair():
 
 
 # ---------------------------------------------------------------------------
-# pair_of / classify
+# pair_of_digits / classify_pair
 # ---------------------------------------------------------------------------
 
 
 def test_pair_of_examples():
-    assert pair_of(DigitQuad(10, (6, 1, 7, 4))).as_tuple() == (6, 2)
-    assert pair_of(DigitQuad(10, (8, 5, 3, 2))).as_tuple() == (6, 2)
-    assert pair_of(DigitQuad(13, (7, 7, 7, 7))).as_tuple() == (0, 0)
+    assert pair_of_digits((6, 1, 7, 4)) == (6, 2)
+    assert pair_of_digits((8, 5, 3, 2)) == (6, 2)
+    assert pair_of_digits((7, 7, 7, 7)) == (0, 0)
 
 
-def test_difference_pair_validation():
-    with pytest.raises(ValueError):
-        DifferencePair(10, 2, 6)  # not canonical
-    with pytest.raises(ValueError):
-        DifferencePair(10, 10, 0)
-    assert DifferencePair(10, 3, 1).scaled(2).as_tuple() == (6, 2)
+def test_non_canonical_pair_rejected():
+    # canonical in base 8 means 0 <= inner <= outer <= 7
+    for pair in ((2, 6), (8, 0), (3, -1)):
+        for reject in (predecessors_of, condensed_predecessors_of, pair_count):
+            with pytest.raises(ValueError):
+                reject(pair, 8)
 
 
 def test_classify_examples():
-    assert classify(DifferencePair(10, 6, 2)) is PairType.A
-    assert classify(DifferencePair(10, 9, 0)) is PairType.C
-    assert classify(DifferencePair(10, 9, 1)) is PairType.B
-    assert classify(DifferencePair(10, 5, 5)) is PairType.B
-    assert classify(DifferencePair(10, 0, 0)) is PairType.ZERO
+    assert classify_pair((6, 2), 10) is PairType.A
+    assert classify_pair((9, 0), 10) is PairType.C
+    assert classify_pair((9, 1), 10) is PairType.B
+    assert classify_pair((5, 5), 10) is PairType.B
+    assert classify_pair((0, 0), 10) is PairType.ZERO
 
 
 def test_classify_total():
@@ -70,15 +68,15 @@ def test_classify_total():
 
 
 # ---------------------------------------------------------------------------
-# pair_step
+# step_pair
 # ---------------------------------------------------------------------------
 
 
 def test_pair_step_examples():
-    assert pair_step(DifferencePair(10, 6, 2)).as_tuple() == (6, 2)
-    assert pair_step(DifferencePair(10, 1, 1)).as_tuple() == (9, 7)
-    assert pair_step(DifferencePair(10, 9, 0)).as_tuple() == (8, 1)
-    assert pair_step(DifferencePair(37, 0, 0)).as_tuple() == (0, 0)
+    assert step_pair((6, 2), 10) == (6, 2)
+    assert step_pair((1, 1), 10) == (9, 7)
+    assert step_pair((9, 0), 10) == (8, 1)
+    assert step_pair((0, 0), 37) == (0, 0)
 
 
 def test_pair_step_b_case_symmetric_in_component_choice():
@@ -116,15 +114,15 @@ def test_fixed_pair():
 
 
 # ---------------------------------------------------------------------------
-# predecessors
+# predecessors_of
 # ---------------------------------------------------------------------------
 
 
 def test_predecessor_examples():
-    assert {p.as_tuple() for p in predecessors(DifferencePair(10, 1, 1))} == {(5, 5)}
-    assert {p.as_tuple() for p in predecessors(DifferencePair(10, 9, 0))} == {(1, 0)}
-    assert predecessors(DifferencePair(20, 5, 5)) == set()
-    assert {p.as_tuple() for p in predecessors(DifferencePair(10, 6, 2))} == {
+    assert predecessors_of((1, 1), 10) == {(5, 5)}
+    assert predecessors_of((9, 0), 10) == {(1, 0)}
+    assert predecessors_of((5, 5), 20) == set()
+    assert predecessors_of((6, 2), 10) == {
         (8, 6),
         (8, 4),
         (4, 2),
@@ -156,13 +154,45 @@ def test_condensed_matches_general_up_to_64():
             assert condensed_predecessors_of(p, b) == predecessors_of(p, b), (b, p)
 
 
+def test_predecessor_guard_raises(monkeypatch):
+    # a candidate that does not step onto its target is a transcription error
+    monkeypatch.setattr(pairs_mod, "step_pair", lambda pair, b: (0, 0))
+    with pytest.raises(RuntimeError):
+        predecessors_of((1, 1), 10)
+    with pytest.raises(RuntimeError):
+        condensed_predecessors_of((4, 2), 8)
+
+
+def test_guards_survive_python_O():
+    # python -O strips assert statements; the transcription guards must still raise
+    probe = (
+        "import kaprekar4.pairs as p, kaprekar4.predictions as pr\n"
+        "p.step_pair = lambda pair, b: (0, 0)\n"
+        "pr.kaprekar_step = lambda q: None\n"
+        "for call in (lambda: p.predecessors_of((1, 1), 10), lambda: pr.fixed_point_digits(10)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except RuntimeError:\n"
+        "        print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(pairs_mod.__file__))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.split() == ["raised", "raised"]
+
+
 # ---------------------------------------------------------------------------
 # counting
 # ---------------------------------------------------------------------------
 
 
 def test_count_examples():
-    assert count_representatives(DifferencePair(10, 6, 2)) == 384
+    assert pair_count((6, 2), 10) == 384
     assert pair_count((0, 0), 10) == 10
     assert pair_count((0, 0), 37) == 37
     # the all-distinct 24(b-d)(d-dp) formula does not apply when inner = 0

@@ -59,6 +59,14 @@ def test_fixed_point_digits():
         assert _fixed_scan(b) == [fixed_point_digits(b).value]
 
 
+def test_fixed_point_guard_raises(monkeypatch):
+    import kaprekar4.predictions as predictions_mod
+
+    monkeypatch.setattr(predictions_mod, "kaprekar_step", lambda q: None)
+    with pytest.raises(RuntimeError):
+        fixed_point_digits(10)
+
+
 def test_predict_max_distance_values():
     expected = {
         2: 1,
