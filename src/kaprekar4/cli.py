@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .digits import DigitQuad, Digits, check_base, join_digits, to_digits
 from .dynamics import (
+    BaseReport,
     Cycle,
     FixedNumeral,
     UndeterminedOrbitError,
@@ -225,12 +226,13 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fixed_point_quads(b: int) -> list[DigitQuad]:
+def _fixed_point_quads(b: int, report: BaseReport | None = None) -> list[DigitQuad]:
+    """The base's fixed numerals; ``report``, when given, is ``base_report(b)``."""
     cls = classify_base(b)
     if isinstance(cls, NoFixedPoint):
         return []
     if isinstance(cls, TwoOrFour):
-        return [to_digits(v, b) for v in base_report(b).fixed_numerals]
+        return [to_digits(v, b) for v in (report or base_report(b)).fixed_numerals]
     return [fixed_point_digits(b)]
 
 
@@ -297,7 +299,7 @@ def _sweep_worker(task: tuple[int, frozenset[str]]) -> dict:
         "cb_match": _match(predicted_fraction, fraction),
     }
     if "fixedpoints" in metrics:
-        row["fixed_points"] = [q.value for q in _fixed_point_quads(b)]
+        row["fixed_points"] = [q.value for q in _fixed_point_quads(b, report)]
     return row
 
 
@@ -312,7 +314,8 @@ def _sweep_text(payload: dict) -> str:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi = parse_base_range(args.bases)
-    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    # first-seen order, each metric once
+    metrics = list(dict.fromkeys(m.strip() for m in args.metrics.split(",") if m.strip()))
     bad = [m for m in metrics if m not in SWEEP_METRICS]
     if bad or not metrics:
         raise UsageError(f"metrics must be a non-empty subset of {SWEEP_METRICS}")

@@ -1,9 +1,12 @@
 """Brute-force integer-level route, vectorised with numpy.
 
-This is the oracle side of every dual check: the step table is built by
-expanding, sorting and subtracting actual digit columns for all b^4 values,
-and distances come from pulling along the functional graph, with no use of
-the pair reduction.
+This is the oracle side of every dual check, with no use of the pair
+reduction: every value in [0, b^4) is expanded into digit columns, sorted by
+a comparator network and stepped as descending minus ascending.  The values
+are streamed in fixed chunks and only their distinct images are kept, with
+how many values map to each, so memory is O(b^2 + chunk) while time stays
+O(b^4).  Distances and basins are solved on that image set, which the step
+maps into itself; a value's distance is one more than its image's.
 """
 
 from __future__ import annotations
@@ -15,9 +18,15 @@ import numpy as np
 from .digits import check_base
 from .dynamics import BaseReport
 
-# b^4 (and every table entry) must fit in int32
-MAX_ENUM_BASE = 215
-_CHUNK = 1 << 21
+# The route streams, so time, not memory, bounds it: at ~2*10^7 values/s
+# (2-core Xeon) b = 180 took 50 s.  b^4 stays far inside int64.
+MAX_ENUM_BASE = 180
+# a chunk's few int64 columns stay in L2 cache; 2^14 measured faster than
+# 2^13 or 2^15
+_CHUNK = 1 << 14
+
+# comparator network that sorts four columns ascending
+_NETWORK = ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))
 
 
 def _check_enum_base(b: int) -> None:
@@ -26,112 +35,120 @@ def _check_enum_base(b: int) -> None:
         raise ValueError(f"full enumeration supports bases up to {MAX_ENUM_BASE}, got {b}")
 
 
-def _sorted_digit_chunk(lo: int, hi: int, b: int) -> np.ndarray:
-    x = np.arange(lo, hi, dtype=np.int64)
-    a0 = x % b
-    r = x // b
-    a1 = r % b
-    r //= b
-    a2 = r % b
-    a3 = r // b
-    digs = np.stack([a0, a1, a2, a3], axis=1)
-    digs.sort(axis=1)
-    return digs
+def _step(x: np.ndarray, b: int) -> np.ndarray:
+    """K-image of each value in the int64 array ``x``.
+
+    Works in place where it can: a chunk's temporaries, not its values,
+    are what the route's peak memory is made of.
+    """
+    cols = []
+    for _ in range(3):
+        x, r = np.divmod(x, b)
+        cols.append(r)
+    cols.append(x)
+    for i, j in _NETWORK:
+        lo = np.minimum(cols[i], cols[j])
+        np.maximum(cols[i], cols[j], out=cols[j])
+        cols[i] = lo
+    desc, asc = cols[3].copy(), cols[0]
+    for k in (2, 1, 0):
+        desc *= b
+        desc += cols[k]
+    for k in (1, 2, 3):
+        asc *= b
+        asc += cols[k]
+    desc -= asc
+    return desc
 
 
-def step_table(b: int) -> np.ndarray:
-    """K-image of every value in [0, b^4), as an int32 array."""
+def _positions(table: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``vals`` sits in the ascending ``table``, and whether it is there."""
+    pos = np.searchsorted(table, vals)
+    found = pos < table.size
+    found[found] = table[pos[found]] == vals[found]
+    return pos, found
+
+
+def step_table(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct K-images of [0, b^4) ascending, how many values map to each)."""
     _check_enum_base(b)
     n = b**4
-    out = np.empty(n, dtype=np.int32)
+    images = np.empty(0, dtype=np.int64)
+    counts = np.empty(0, dtype=np.int64)
     for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        digs = _sorted_digit_chunk(lo, hi, b)
-        asc = ((digs[:, 0] * b + digs[:, 1]) * b + digs[:, 2]) * b + digs[:, 3]
-        desc = ((digs[:, 3] * b + digs[:, 2]) * b + digs[:, 1]) * b + digs[:, 0]
-        out[lo:hi] = (desc - asc).astype(np.int32)
-    return out
-
-
-def pair_code_table(b: int) -> np.ndarray:
-    """outer*b + inner of every value in [0, b^4), as an int32 array."""
-    _check_enum_base(b)
-    n = b**4
-    out = np.empty(n, dtype=np.int32)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        digs = _sorted_digit_chunk(lo, hi, b)
-        out[lo:hi] = ((digs[:, 3] - digs[:, 0]) * b + (digs[:, 2] - digs[:, 1])).astype(np.int32)
-    return out
+        vals, cnts = np.unique(_step(np.arange(lo, min(lo + _CHUNK, n), dtype=np.int64), b),
+                               return_counts=True)
+        pos, found = _positions(images, vals)
+        if not found.all():
+            # not np.union1d: its plain np.unique imports numpy.ma on first use
+            merged = np.sort(np.concatenate((images, vals[~found])))
+            grown = np.zeros(merged.size, dtype=np.int64)
+            grown[np.searchsorted(merged, images)] = counts
+            images, counts = merged, grown
+            pos = np.searchsorted(images, vals)
+        counts[pos] += cnts
+    return images, counts
 
 
 def distance_table(b: int, with_basins: bool = False):
-    """(distances, fixed values, basin roots) for all of [0, b^4).
+    """(images, counts, distances, fixed values, basin roots) on the image set.
 
-    distance -1 marks orbits that never reach a non-zero fixed numeral
-    (the zero sink and genuine cycles).  The basin roots (each value's fixed
-    numeral) are None unless ``with_basins``; at b = 40 they would take
-    another 4 bytes per state.
+    ``images`` and ``counts`` are :func:`step_table`'s.  ``distances[i]`` is
+    the number of steps from ``images[i]`` to a non-zero fixed numeral, -1
+    when its orbit never reaches one (the zero sink and genuine cycles).
+    ``roots[i]`` is the fixed numeral reached, and None unless
+    ``with_basins``.
     """
-    k = step_table(b)
-    x = np.arange(k.size, dtype=np.int32)
-    fixed_mask = k == x
-    fixed_mask[0] = False
-    fixed_values = np.flatnonzero(fixed_mask).astype(np.int32)
+    images, counts = step_table(b)
+    nxt = _step(images, b)
+    succ, found = _positions(images, nxt)
+    if not found.all():
+        raise RuntimeError(f"base {b}: an image's image is missing from the image table")
+    fixed = np.flatnonzero((nxt == images) & (images != 0))
+    fixed_values = images[fixed]
 
-    dist = np.full(k.size, -1, dtype=np.int32)
-    dist[fixed_values] = 0
+    dist = np.full(images.size, -1, dtype=np.int64)
+    dist[fixed] = 0
     root = None
     if with_basins:
-        root = np.full(k.size, -1, dtype=np.int32)
-        root[fixed_values] = fixed_values
+        root = np.full(images.size, -1, dtype=np.int64)
+        root[fixed] = fixed_values
     while True:
-        nd = dist[k]
+        nd = dist[succ]
         mask = (dist < 0) & (nd >= 0)
         if not mask.any():
             break
         dist[mask] = nd[mask] + 1
         if root is not None:
-            root[mask] = root[k][mask]
-    return dist, fixed_values, root
+            root[mask] = root[succ[mask]]
+    return images, counts, dist, fixed_values, root
 
 
 def convergence_report(b: int, with_basins: bool = False) -> BaseReport:
-    """BaseReport assembled purely from integer orbits."""
-    dist, fixed_values, root = distance_table(b, with_basins)
+    """BaseReport assembled purely from integer orbits.
+
+    A value whose image y converges lies dist(y) + 1 steps out, except a
+    fixed numeral itself, which is its own image and lies 0 steps out.
+    """
+    images, counts, dist, fixed_values, root = distance_table(b, with_basins)
     converged = dist >= 0
-    count = int(converged.sum())
-    if count:
-        counts = np.bincount(dist[converged])
-        histogram = {i: int(c) for i, c in enumerate(counts) if c}
-        max_distance = int(counts.size - 1)
-    else:
-        histogram = {}
-        max_distance = None
+    hist = np.zeros(images.size + 1, dtype=np.int64)
+    np.add.at(hist, dist[converged] + 1, counts[converged])
+    hist[1] -= fixed_values.size
+    hist[0] += fixed_values.size
+    histogram = {int(i): int(hist[i]) for i in np.flatnonzero(hist)}
+    count = sum(histogram.values())
 
     basin_sizes = None
     if root is not None:
-        basin_sizes = {int(v): int((root == v).sum()) for v in fixed_values}
+        basin_sizes = {int(v): int(counts[root == v].sum()) for v in fixed_values}
 
     return BaseReport(
         base=b,
-        max_distance=max_distance,
+        max_distance=max(histogram) if histogram else None,
         convergent_count=count,
         convergent_fraction=Fraction(count, b**4),
         histogram=histogram,
         fixed_numerals=[int(v) for v in fixed_values],
         basin_sizes=basin_sizes,
     )
-
-
-def zero_orbit_values(b: int) -> np.ndarray:
-    """All values whose orbit falls into the zero sink."""
-    k = step_table(b)
-    reach = np.zeros(k.size, dtype=bool)
-    reach[0] = True
-    while True:
-        mask = ~reach & reach[k]
-        if not mask.any():
-            break
-        reach[mask] = True
-    return np.flatnonzero(reach)

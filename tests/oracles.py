@@ -4,12 +4,19 @@ Deliberately different mechanics from the package: the step is computed by
 converting whole rearrangements to integers and subtracting (the package
 subtracts digit columns), and preimages/counts come from exhaustive scans.  Pair distances come from a
 forward walk of every pair orbit (the package walks predecessors backwards).
+The full-table helpers hold one entry per value of [0, b^4), sorted with
+``np.sort`` (the package streams chunks through a comparator network and
+keeps only the image set), so they are the reference for small bases.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 
+import numpy as np
+
+from kaprekar4.dynamics import BaseReport
 from kaprekar4.pairs import canonical_pairs, step_pair
 
 
@@ -105,3 +112,109 @@ def oracle_pair_distances(b: int, fixed: tuple[int, int]) -> dict[tuple[int, int
         # a revisit within the path means a cycle avoiding the fixed pair:
         # every pair on the path stays absent
     return steps
+
+
+# ---------------------------------------------------------------------------
+# Full per-value tables
+# ---------------------------------------------------------------------------
+
+_FULL_CHUNK = 1 << 21
+
+
+def _sorted_digit_chunk(lo: int, hi: int, b: int) -> np.ndarray:
+    # the full tables are for small bases, where b^4 fits in int32
+    x = np.arange(lo, hi, dtype=np.int32)
+    a0 = x % b
+    r = x // b
+    a1 = r % b
+    r //= b
+    a2 = r % b
+    a3 = r // b
+    digs = np.stack([a0, a1, a2, a3], axis=1)
+    digs.sort(axis=1)
+    return digs
+
+
+def full_step_table(b: int) -> np.ndarray:
+    """K-image of every value in [0, b^4), as an int32 array."""
+    n = b**4
+    out = np.empty(n, dtype=np.int32)
+    for lo in range(0, n, _FULL_CHUNK):
+        hi = min(lo + _FULL_CHUNK, n)
+        digs = _sorted_digit_chunk(lo, hi, b)
+        asc = ((digs[:, 0] * b + digs[:, 1]) * b + digs[:, 2]) * b + digs[:, 3]
+        desc = ((digs[:, 3] * b + digs[:, 2]) * b + digs[:, 1]) * b + digs[:, 0]
+        out[lo:hi] = (desc - asc).astype(np.int32)
+    return out
+
+
+def pair_code_table(b: int) -> np.ndarray:
+    """outer*b + inner of every value in [0, b^4), as an int32 array."""
+    n = b**4
+    out = np.empty(n, dtype=np.int32)
+    for lo in range(0, n, _FULL_CHUNK):
+        hi = min(lo + _FULL_CHUNK, n)
+        digs = _sorted_digit_chunk(lo, hi, b)
+        out[lo:hi] = ((digs[:, 3] - digs[:, 0]) * b + (digs[:, 2] - digs[:, 1])).astype(np.int32)
+    return out
+
+
+def full_distance_table(b: int):
+    """(distances, fixed values, basin roots) for every value of [0, b^4).
+
+    Distance -1 marks orbits that never reach a non-zero fixed numeral.
+    """
+    k = full_step_table(b)
+    fixed_mask = k == np.arange(k.size, dtype=np.int32)
+    fixed_mask[0] = False
+    fixed_values = np.flatnonzero(fixed_mask).astype(np.int32)
+
+    dist = np.full(k.size, -1, dtype=np.int32)
+    dist[fixed_values] = 0
+    root = np.full(k.size, -1, dtype=np.int32)
+    root[fixed_values] = fixed_values
+    while True:
+        nd = dist[k]
+        mask = (dist < 0) & (nd >= 0)
+        if not mask.any():
+            break
+        dist[mask] = nd[mask] + 1
+        root[mask] = root[k[mask]]
+    return dist, fixed_values, root
+
+
+def full_report(b: int, with_basins: bool = False) -> BaseReport:
+    """The BaseReport of base ``b`` counted value by value."""
+    dist, fixed_values, root = full_distance_table(b)
+    converged = dist >= 0
+    count = int(converged.sum())
+    histogram, max_distance = {}, None
+    if count:
+        counts = np.bincount(dist[converged])
+        histogram = {i: int(c) for i, c in enumerate(counts) if c}
+        max_distance = int(counts.size - 1)
+    basin_sizes = None
+    if with_basins:
+        basin_sizes = {int(v): int((root == v).sum()) for v in fixed_values}
+    return BaseReport(
+        base=b,
+        max_distance=max_distance,
+        convergent_count=count,
+        convergent_fraction=Fraction(count, b**4),
+        histogram=histogram,
+        fixed_numerals=[int(v) for v in fixed_values],
+        basin_sizes=basin_sizes,
+    )
+
+
+def zero_orbit_values(b: int) -> np.ndarray:
+    """All values whose orbit falls into the zero sink."""
+    k = full_step_table(b)
+    reach = np.zeros(k.size, dtype=bool)
+    reach[0] = True
+    while True:
+        mask = ~reach & reach[k]
+        if not mask.any():
+            break
+        reach[mask] = True
+    return np.flatnonzero(reach)

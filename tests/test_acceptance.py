@@ -21,7 +21,6 @@ from kaprekar4.dynamics import (
     fixed_numeral_value,
     trajectory,
 )
-from kaprekar4.enumeration import pair_code_table, step_table
 from kaprekar4.pairs import (
     PairType,
     canonical_pairs,
@@ -44,7 +43,8 @@ from kaprekar4.tables import (
     landing_witnesses,
     max_total_steps,
 )
-from oracles import oracle_preimages
+from kaprekar4.verify import _pair_on_cycle
+from oracles import full_step_table, oracle_preimages, pair_code_table
 
 
 def _finish(num: str, desc: str, limit: float, t0: float, problems: list):
@@ -163,7 +163,7 @@ def test_criterion_07_commutation():
             sd, sdp = step_pair((d, dp), b)
             step_codes[d * b + dp] = sd * b + sdp
         codes = pair_code_table(b)
-        images = step_table(b)
+        images = full_step_table(b)
         bad = int(np.count_nonzero(step_codes[codes] != codes[images]))
         if bad:
             problems.append(f"b={b}: {bad} violations")
@@ -253,15 +253,6 @@ def test_criterion_11_arrival_table():
                 if cur != (entry.cell[0] * g, entry.cell[1] * g):
                     problems.append(f"n={n} cell ({p},{q}): reached {cur}, table {entry.cell}")
     _finish("11", "arrival table reproduced by iteration for n=2..9", 1.0, t0, problems)
-
-
-def _pair_on_cycle(pair, b):
-    cur = step_pair(pair, b)
-    for _ in range(2 * b):
-        if cur == pair:
-            return True
-        cur = step_pair(cur, b)
-    return False
 
 
 def test_criterion_12_total_step_table():

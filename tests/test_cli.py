@@ -191,6 +191,33 @@ def test_sweep_metric_subsets(capsys):
     assert main(["sweep", "--bases", "5..x"]) == 2
 
 
+def test_sweep_metrics_deduplicated(capsys):
+    code, out, _ = run(capsys, "sweep", "--bases", "5..5", "--metrics", "mb,cb,mb,cb,mb",
+                       "--format", "json", "--jobs", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["metrics"] == ["mb", "cb"]
+    validate(payload, "sweep.schema.json")
+    with pytest.raises(jsonschema.ValidationError):
+        validate({**payload, "metrics": ["mb", "mb"]}, "sweep.schema.json")
+
+
+def test_sweep_fixedpoints_reuses_report(monkeypatch):
+    import kaprekar4.cli as cli_mod
+
+    real = cli_mod.base_report
+    calls = []
+
+    def counted(b, *args, **kwargs):
+        calls.append(b)
+        return real(b, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "base_report", counted)
+    row = cli_mod._sweep_worker((4, frozenset({"mb", "fixedpoints"})))
+    assert calls == [4]
+    assert row["fixed_points"] == real(4).fixed_numerals
+
+
 def test_sweep_text_format(capsys):
     code, out, _ = run(capsys, "sweep", "--bases", "5..6", "--jobs", "1")
     assert code == 0

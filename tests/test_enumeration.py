@@ -1,0 +1,101 @@
+"""The streamed integer oracle against the full per-value tables."""
+
+import ast
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import kaprekar4
+from kaprekar4 import enumeration
+from kaprekar4.dynamics import base_report
+from oracles import full_report
+
+
+def _assert_reports_match(b):
+    want = full_report(b, with_basins=True)
+    for with_basins in (True, False):
+        got = enumeration.convergence_report(b, with_basins)
+        expected = want if with_basins else dataclasses.replace(want, basin_sizes=None)
+        assert got == expected, (b, with_basins)
+        assert list(got.histogram) == list(expected.histogram), b
+
+
+def test_streamed_report_matches_full_tables():
+    for b in range(2, 61):
+        _assert_reports_match(b)
+
+
+def test_chunk_boundaries_do_not_change_the_answer(monkeypatch):
+    # 2^4 and 5^4 fit in one chunk; 6^4 = 1296 spans two, 12^4 spans 21
+    monkeypatch.setattr(enumeration, "_CHUNK", 997)
+    for b in (2, 3, 5, 6, 7, 10, 12):
+        _assert_reports_match(b)
+
+
+def test_image_set_is_small():
+    # observed, not assumed by the route: the images number at most b(b+1)/2
+    for b in range(2, 41):
+        images, counts = enumeration.step_table(b)
+        assert images.size <= b * (b + 1) // 2, b
+        assert int(counts.sum()) == b**4, b
+
+
+def test_missing_image_raises(monkeypatch):
+    real = enumeration.step_table
+
+    def without_fixed_numeral(b):
+        images, counts = real(b)
+        keep = images != 6174
+        return images[keep], counts[keep]
+
+    monkeypatch.setattr(enumeration, "step_table", without_fixed_numeral)
+    with pytest.raises(RuntimeError, match="missing"):
+        enumeration.distance_table(10)
+
+
+def test_base_over_limit_rejected_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("stepped a base over the limit")
+
+    monkeypatch.setattr(enumeration, "_step", no_work)
+    with pytest.raises(ValueError, match="up to"):
+        base_report(enumeration.MAX_ENUM_BASE + 1, method="enumeration")
+    assert enumeration.MAX_ENUM_BASE**4 < 2**63
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_memory_bounded_at_base_64():
+    # The full per-value tables needed about 1 GB here.  VmHWM is the peak
+    # RSS of the child's own image; ru_maxrss would carry over the parent's.
+    probe = (
+        "import kaprekar4\n"
+        "r = kaprekar4.base_report(64, method='enumeration')\n"
+        "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
+        "print(r.convergent_count, hwm[0].split()[1])\n"
+    )
+    src = os.path.dirname(os.path.dirname(kaprekar4.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    count, peak_kb = map(int, out.stdout.split())
+    assert count == 0  # 64 is not a multiple of 5 and has no fixed numeral
+    assert peak_kb < 100 * 1024
+
+
+def test_enumeration_does_not_import_pairs():
+    tree = ast.parse(Path(enumeration.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {m for m in imported if m.split(".")[-1] == "pairs"}, imported
