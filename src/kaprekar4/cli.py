@@ -170,7 +170,8 @@ def _terminal_json(term) -> dict:
         return {"kind": "fixed-point", "value": term.value}
     if isinstance(term, ZeroSink):
         return {"kind": "zero-sink"}
-    assert isinstance(term, Cycle)
+    if not isinstance(term, Cycle):
+        raise TypeError(f"unknown terminal {term!r}")
     return {"kind": "cycle", "period": term.period, "entry_step": term.entry_step}
 
 

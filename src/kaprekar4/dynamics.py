@@ -197,8 +197,8 @@ class BaseReport:
     basin_sizes: dict[int, int] | None = None
 
 
-def _pairs_report(b: int) -> BaseReport:
-    pdm = pair_distance_map(b)
+def _pairs_report(pdm: PairDistanceMap) -> BaseReport:
+    b = pdm.base
     hist: dict[int, int] = {0: 1, 1: pair_count(pdm.fixed, b) - 1}
     for p, s in pdm.steps.items():
         if p == pdm.fixed:
@@ -241,11 +241,11 @@ def base_report(b: int, method: str = "auto") -> BaseReport:
 
         return convergence_report(b, with_basins=b in (2, 4))
     if method == "pairs":
-        return _pairs_report(b)
+        return _pairs_report(pair_distance_map(b))
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
     if b % 5 == 0:
-        return _pairs_report(b)
+        return _pairs_report(pair_distance_map(b))
     if b in (2, 4):
         from .enumeration import convergence_report
 

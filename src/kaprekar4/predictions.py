@@ -121,7 +121,8 @@ def landing_bound(p: int, q: int, n: int) -> int:
         return n
     if (p, q) in _LANDING_BOUND_2N:
         return 2 * n
-    assert (p, q) in _LANDING_BOUND_2N2
+    if (p, q) not in _LANDING_BOUND_2N2:
+        raise RuntimeError(f"grid cell ({p}, {q}) has no landing bound")
     return 2 * n + 2
 
 

@@ -6,17 +6,27 @@ depth "deep" also exercises the structural claims behind them (predecessor
 tables, basin structure, grid landing bounds, the literal data tables, and
 integer-level cycle entries).  Mismatches are reported as data, never
 raised.
+
+The deep checks of one base share two results: the distance map, which also
+gives the measured numbers, and a flat step table that steps every canonical
+pair once.  Pair ``(d, dp)`` has the code ``d(d+1)/2 + dp``, its index in
+:func:`canonical_pairs` order.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from math import isqrt
 
 from .digits import join_digits, step_value, to_digits
 from .dynamics import (
     Cycle,
+    PairDistanceMap,
     ZeroSink,
+    _pairs_report,
     base_report,
     fixed_numeral_value,
     pair_distance_map,
@@ -93,6 +103,31 @@ def _verdict(predicted, measured) -> str:
 
 
 # ---------------------------------------------------------------------------
+# The step table
+# ---------------------------------------------------------------------------
+
+
+def _code(pair: Pair) -> int:
+    d, dp = pair
+    return d * (d + 1) // 2 + dp
+
+
+def _pair_at(code: int) -> Pair:
+    d = (isqrt(8 * code + 1) - 1) // 2
+    return (d, code - d * (d + 1) // 2)
+
+
+def _step_table(b: int) -> array:
+    """Entry ``c`` is the code of the image of the pair with code ``c``."""
+    return array("l", (_code(step_pair(p, b)) for p in canonical_pairs(b)))
+
+
+def _codes(pairs: set[Pair]) -> set[int]:
+    # _code written inline: this runs on every predecessor candidate
+    return {d * (d + 1) // 2 + dp for d, dp in pairs}
+
+
+# ---------------------------------------------------------------------------
 # Deep checks
 # ---------------------------------------------------------------------------
 
@@ -122,43 +157,60 @@ def _check_fixed_numeral_landing(b: int) -> Check:
     return Check("fixed-numeral-landing", True)
 
 
-def _check_predecessor_inversion(b: int) -> Check:
+def _check_predecessor_inversion(
+    b: int, table: array, pdm: PairDistanceMap | None
+) -> Check:
     """The predecessor tables equal a scan of the forward step and, when
     5 | b, the reverse-BFS distance map equals the forward walk."""
-    preimage: dict[Pair, set[Pair]] = {}
-    for p in canonical_pairs(b):
-        preimage.setdefault(step_pair(p, b), set()).add(p)
-    for p in canonical_pairs(b):
-        scanned = preimage.get(p, set())
-        if predecessors_of(p, b) != scanned:
+    # preimage by a counting sort of the codes on their images: the
+    # preimage of code c is members[offsets[c]:offsets[c + 1]]
+    counts = array("l", [0]) * len(table)
+    for t in table:
+        counts[t] += 1
+    offsets = array("l", accumulate(counts, initial=0))
+    fill = offsets[:-1]
+    members = array("l", [0]) * len(table)
+    for c, t in enumerate(table):
+        members[fill[t]] = c
+        fill[t] += 1
+    condensed = b % 4 == 0 and b > 4
+    for c, p in enumerate(canonical_pairs(b)):
+        scanned = set(members[offsets[c] : offsets[c + 1]])
+        if _codes(predecessors_of(p, b)) != scanned:
             return Check("predecessor-inversion", False, f"table wrong at {p}")
-        if b % 4 == 0 and b > 4 and condensed_predecessors_of(p, b) != scanned:
+        if condensed and _codes(condensed_predecessors_of(p, b)) != scanned:
             return Check("predecessor-inversion", False, f"condensed rules wrong at {p}")
-    del preimage  # released before the distance map is built
-    if b % 5 == 0:
+    del members, offsets  # released before the distance array is built
+    if pdm is not None:
         # The fixed pair has distance 0 and every other pair is in the map
         # exactly when its image is, one step further out.  Distances then
         # fall by one along each orbit in the map, so it reaches the fixed
         # pair: these rules hold exactly when the map equals the forward walk.
-        steps = pair_distance_map(b).steps
-        fixed = fixed_pair(b)
-        for p in canonical_pairs(b):
-            t = steps.get(step_pair(p, b))
-            want = 0 if p == fixed else None if t is None else t + 1
-            if steps.get(p) != want:
-                return Check("predecessor-inversion", False, f"distance map wrong at {p}")
+        dist = array("l", (pdm.steps.get(p, -1) for p in canonical_pairs(b)))
+        fixed = _code(pdm.fixed)
+        for c, t in enumerate(table):
+            s = dist[t]
+            want = 0 if c == fixed else -1 if s < 0 else s + 1
+            if dist[c] != want:
+                return Check(
+                    "predecessor-inversion", False, f"distance map wrong at {_pair_at(c)}"
+                )
     return Check("predecessor-inversion", True)
 
 
-def _check_fixed_pair_unique(b: int) -> Check:
-    self_fixed = {p for p in canonical_pairs(b) if step_pair(p, b) == p}
+def _self_fixed(table: array) -> set[Pair]:
+    return {_pair_at(c) for c, t in enumerate(table) if c == t}
+
+
+def _check_fixed_pair_unique(b: int, table: array) -> Check:
+    self_fixed = _self_fixed(table)
     expected = {(0, 0), fixed_pair(b)}
     ok = self_fixed == expected
     return Check("fixed-pair-unique", ok, "" if ok else f"self-fixed pairs {self_fixed}")
 
 
-def _check_no_fixed_numeral(b: int) -> Check:
-    self_fixed = {p for p in canonical_pairs(b) if step_pair(p, b) == p}
+def _check_no_fixed_numeral(table: array) -> Check:
+    self_fixed = _self_fixed(table)
     ok = self_fixed == {(0, 0)}
     return Check("no-fixed-numeral", ok, "" if ok else f"self-fixed pairs {self_fixed}")
 
@@ -170,9 +222,9 @@ def _h_set(pair: Pair, b: int) -> frozenset[Pair]:
     )
 
 
-def _basin_structure_checks(b: int, m: int, n: int) -> list[Check]:
+def _basin_structure_checks(b: int, m: int, n: int, pdm: PairDistanceMap) -> list[Check]:
     """Structural claims about the fixed pair's predecessor closure, m > 1."""
-    closure = set(pair_distance_map(b).steps)
+    closure = set(pdm.steps)
     checks = []
 
     bad_type = [p for p in closure if classify_pair(p, b) is not PairType.A]
@@ -217,19 +269,57 @@ def _basin_structure_checks(b: int, m: int, n: int) -> list[Check]:
     return checks
 
 
-def _grid_checks(b: int, n: int) -> list[Check]:
+def _grid_landings(b: int, n: int, table: array) -> tuple[array, array]:
+    """:func:`grid_landing` of every pair code, memoised along the step table.
+
+    Returns the steps to the first grid pair and that grid pair's cell code,
+    each indexed by pair code.  A pair whose landing exceeds the same budget
+    of 2n + 8 steps raises ``RuntimeError``, as ``grid_landing`` does.
+    """
+    g = b // 5
+    budget = 2 * n + 8
+    steps = array("l", [-1]) * len(table)
+    cells = array("l", [0]) * len(table)
+    for p in range(5):
+        for q in range(p + 1):
+            c = _code((p * g, q * g))
+            steps[c] = 0
+            cells[c] = _code((p, q))
+    path: list[int] = []
+    for c in range(len(table)):
+        k = c
+        while steps[k] < 0 and len(path) <= budget:
+            path.append(k)
+            k = table[k]
+        s, cell = steps[k], cells[k]
+        if s < 0 or s + len(path) > budget:
+            raise RuntimeError(
+                f"pair {_pair_at(c)} found no grid pair within {budget} steps in base {b}"
+            )
+        while path:
+            s += 1
+            k = path.pop()
+            steps[k] = s
+            cells[k] = cell
+    return steps, cells
+
+
+def _grid_checks(b: int, n: int, table: array) -> list[Check]:
     """Landing bounds, data-table rows, and iterate identities for b = 5*2^n."""
     checks = []
     g = 2**n
 
-    # measured landing of every canonical pair, grouped by cell
-    worst: dict[Pair, int] = {}
+    # measured landing of every canonical pair, grouped by cell; a cell's
+    # code is its index in cell_pairs, which lists the cells in sorted order
+    cell_pairs = [_pair_at(k) for k in range(15)]  # 0 <= q <= p <= 4
+    bound = [landing_bound(*cell, n) for cell in cell_pairs]
+    worst = [-1] * len(cell_pairs)
     over: list[Pair] = []
-    for p in canonical_pairs(b):
-        landing = grid_landing(p, b)
-        if landing.steps > landing_bound(*landing.cell, n):
-            over.append(p)
-        worst[landing.cell] = max(worst.get(landing.cell, -1), landing.steps)
+    steps, cells = _grid_landings(b, n, table)
+    for c, (s, k) in enumerate(zip(steps, cells)):
+        if s > bound[k]:
+            over.append(_pair_at(c))
+        worst[k] = max(worst[k], s)
     checks.append(
         Check(
             "landing-bounds",
@@ -286,9 +376,7 @@ def _grid_checks(b: int, n: int) -> list[Check]:
     checks.append(Check("landing-witnesses", ok, detail))
 
     unattained = [
-        cell
-        for cell, steps in sorted(worst.items())
-        if steps != landing_bound(*cell, n)
+        cell for cell, w, bd in zip(cell_pairs, worst, bound) if w >= 0 and w != bd
     ]
     checks.append(
         Check(
@@ -384,7 +472,9 @@ def verify_base(b: int, depth: str = "formulas") -> PredictionReport:
     if depth not in DEPTHS:
         raise ValueError(f"depth must be one of {DEPTHS}, got {depth!r}")
     cls = classify_base(b)
-    report = base_report(b)
+    # the deep checks validate the very map that gives the measured numbers
+    pdm = pair_distance_map(b) if isinstance(cls, FiveMultiple) else None
+    report = base_report(b) if pdm is None else _pairs_report(pdm)
     measured_max = report.max_distance
     measured_fraction = report.convergent_fraction if report.fixed_numerals else None
     predicted_max = predict_max_distance(b)
@@ -403,11 +493,12 @@ def verify_base(b: int, depth: str = "formulas") -> PredictionReport:
     if depth != "deep":
         return out
 
+    table = _step_table(b)
     if isinstance(cls, NoFixedPoint):
-        out.checks.append(_check_no_fixed_numeral(b))
+        out.checks.append(_check_no_fixed_numeral(table))
         return out
 
-    out.checks.append(_check_predecessor_inversion(b))
+    out.checks.append(_check_predecessor_inversion(b, table, pdm))
     if isinstance(cls, TwoOrFour):
         out.checks.append(
             Check(
@@ -418,11 +509,12 @@ def verify_base(b: int, depth: str = "formulas") -> PredictionReport:
         )
         return out
 
-    assert isinstance(cls, FiveMultiple)
-    out.checks.append(_check_fixed_pair_unique(b))
+    if not isinstance(cls, FiveMultiple):
+        raise TypeError(f"unknown base class {cls!r}")
+    out.checks.append(_check_fixed_pair_unique(b, table))
     out.checks.append(_check_fixed_numeral_landing(b))
     if cls.m > 1:
-        out.checks.extend(_basin_structure_checks(b, cls.m, cls.n))
+        out.checks.extend(_basin_structure_checks(b, cls.m, cls.n, pdm))
     elif cls.n >= 2:
-        out.checks.extend(_grid_checks(b, cls.n))
+        out.checks.extend(_grid_checks(b, cls.n, table))
     return out

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from importlib.resources import files
 
@@ -362,16 +365,10 @@ def test_internal_error_exit_4(capsys, monkeypatch):
     assert err.startswith("internal error: ") and "planted crash" in err
 
 
-def test_cli_import_does_not_load_numpy():
-    # only the enumeration route needs numpy; every other command starts without it
-    import os
-    import subprocess
-    import sys
-
+def _run_probe(probe: str) -> list[str]:
     import kaprekar4
 
     src = os.path.dirname(os.path.dirname(kaprekar4.__file__))
-    probe = 'import sys, kaprekar4.cli; print("numpy" in sys.modules)'
     result = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -379,4 +376,38 @@ def test_cli_import_does_not_load_numpy():
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.split()
+
+
+_VERIFY_320_DEEP = (
+    "import os\n"
+    "code = kaprekar4.cli.main(['verify', '--bases', '320..320', '--depth', 'deep',\n"
+    "                           '--jobs', '1', '--out', os.devnull])\n"
+)
+
+
+def test_cli_import_does_not_load_numpy():
+    # only the enumeration route needs numpy; every other command starts
+    # without it, and the deep checks run without it
+    probe = (
+        "import sys, kaprekar4.cli\n"
+        "print('numpy' in sys.modules)\n"
+        + _VERIFY_320_DEEP
+        + "print(code, 'numpy' in sys.modules)\n"
+    )
+    assert _run_probe(probe) == ["False", "0", "False"]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_verify_deep_memory_bounded_at_base_320():
+    # VmHWM is the peak RSS of the child's own image; ru_maxrss would carry
+    # over the parent's.  The deep checks keep flat arrays, not dicts of pairs.
+    probe = (
+        "import kaprekar4.cli\n"
+        + _VERIFY_320_DEEP
+        + "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
+        "print(code, hwm[0].split()[1])\n"
+    )
+    code, peak_kb = map(int, _run_probe(probe))
+    assert code == 0
+    assert peak_kb < 32 * 1024

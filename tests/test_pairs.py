@@ -186,6 +186,21 @@ def test_guards_survive_python_O():
     assert result.stdout.split() == ["raised", "raised"]
 
 
+def test_no_assert_statements_in_src():
+    # python -O strips them, so every guard in the package must raise instead
+    import ast
+    from pathlib import Path
+
+    package = Path(pairs_mod.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 # ---------------------------------------------------------------------------
 # counting
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import pytest
 
+import kaprekar4.verify as verify_mod
+from kaprekar4.pairs import canonical_pairs, step_pair
+from kaprekar4.predictions import grid_exponent, grid_landing
 from kaprekar4.verify import MATCH, MISMATCH, NOT_PREDICTED, Check, verify_base
 
 
@@ -86,8 +89,6 @@ def test_all_match_detects_failures():
 
 
 def _break_distance_map(monkeypatch, corrupt):
-    import kaprekar4.verify as verify_mod
-
     real = verify_mod.pair_distance_map
 
     def broken(b):
@@ -125,3 +126,93 @@ def test_wrong_distance_map_fails_predecessor_inversion(monkeypatch, capsys, cor
     assert not rep.all_match
     assert main(["verify", "--bases", "20..20", "--depth", "deep", "--jobs", "1"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("b", [15, 20, 60, 160])
+def test_one_distance_map_per_deep_verify(monkeypatch, b):
+    import kaprekar4.dynamics as dynamics_mod
+
+    calls = []
+    real = dynamics_mod.pair_distance_map
+
+    def counting(base):
+        calls.append(base)
+        return real(base)
+
+    monkeypatch.setattr(dynamics_mod, "pair_distance_map", counting)
+    monkeypatch.setattr(verify_mod, "pair_distance_map", counting)
+    assert verify_base(b, "deep").all_match
+    assert calls == [b]
+
+
+# ---------------------------------------------------------------------------
+# the shared step table and the checks that read it
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("b", [7, 20, 320])
+def test_step_table_follows_canonical_order(b):
+    table = verify_mod._step_table(b)
+    pairs = list(canonical_pairs(b))
+    assert len(table) == len(pairs)
+    for c, p in enumerate(pairs):
+        assert verify_mod._code(p) == c
+        assert verify_mod._pair_at(c) == p
+        assert verify_mod._pair_at(table[c]) == step_pair(p, b)
+
+
+def _drop_one_candidate(monkeypatch, name, at):
+    real = getattr(verify_mod, name)
+
+    def dropped(pair, b):
+        out = real(pair, b)
+        return out - {min(out)} if pair == at else out
+
+    monkeypatch.setattr(verify_mod, name, dropped)
+
+
+@pytest.mark.parametrize(
+    "name, b, start, detail",
+    [
+        ("predecessors_of", 20, (7, 3), "table wrong at "),
+        ("condensed_predecessors_of", 40, (13, 6), "condensed rules wrong at "),
+    ],
+)
+def test_wrong_preimage_fails_predecessor_inversion(monkeypatch, name, b, start, detail):
+    at = step_pair(start, b)  # its preimage holds at least ``start``
+    _drop_one_candidate(monkeypatch, name, at)
+    rep = verify_base(b, "deep")
+    (check,) = [c for c in rep.checks if c.label == "predecessor-inversion"]
+    assert not check.passed
+    assert check.detail == f"{detail}{at}"
+
+
+@pytest.mark.parametrize("b", [20, 40, 80, 160, 320])
+def test_landing_memo_equals_grid_landing(b):
+    steps, cells = verify_mod._grid_landings(b, grid_exponent(b), verify_mod._step_table(b))
+    for c, p in enumerate(canonical_pairs(b)):
+        landing = grid_landing(p, b)
+        assert (steps[c], verify_mod._pair_at(cells[c])) == (landing.steps, landing.cell), p
+
+
+def test_landing_memo_keeps_the_budget():
+    b, n = 20, 2
+    budget = 2 * n + 8
+    table = verify_mod._step_table(b)
+    table[verify_mod._code((1, 0))] = verify_mod._code((1, 0))  # off-grid self-loop
+    with pytest.raises(RuntimeError, match=f"pair \\(1, 0\\) found no grid pair within {budget}"):
+        verify_mod._grid_landings(b, n, table)
+
+    # a chain of off-grid pairs into (0, 0), ``length`` steps at its longest
+    g = b // 5
+    off_grid = [c for c, (d, dp) in enumerate(canonical_pairs(b)) if d % g or dp % g]
+    for length in (budget, budget + 1):
+        chained = verify_mod._step_table(b)
+        for k, c in enumerate(off_grid):
+            chained[c] = off_grid[k - 1] if 0 < k < length else 0
+        if length == budget:
+            steps, _ = verify_mod._grid_landings(b, n, chained)
+            assert max(steps) == budget
+        else:
+            with pytest.raises(RuntimeError, match="found no grid pair"):
+                verify_mod._grid_landings(b, n, chained)
