@@ -7,11 +7,9 @@ and convergent fractions, and a verification harness comparing the two.
 
 from .digits import (
     DigitQuad,
-    is_repdigit,
     join_digits,
     kaprekar_step,
     split_digits,
-    step_digits,
     step_value,
     to_digits,
 )

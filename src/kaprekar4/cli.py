@@ -62,14 +62,13 @@ class UsageError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def fraction_to_decimal(frac: Fraction, places: int = 12) -> str:
-    """Exact decimal rendering, rounded half away from zero."""
-    scaled = frac.numerator * 10**places
-    q, r = divmod(scaled, frac.denominator)
+def fraction_to_decimal(frac: Fraction) -> str:
+    """Exact decimal rendering to 12 places, rounded half away from zero."""
+    q, r = divmod(frac.numerator * 10**12, frac.denominator)
     if 2 * r >= frac.denominator:
         q += 1
-    text = str(q).rjust(places + 1, "0")
-    return f"{text[:-places]}.{text[-places:]}"
+    text = str(q).rjust(13, "0")
+    return f"{text[:-12]}.{text[-12:]}"
 
 
 def fmt_fraction(frac: Fraction | None) -> str | None:
@@ -153,6 +152,8 @@ def parse_digit_list(text: str, b: int) -> Digits:
 
 
 def _parallel_map(worker, tasks, jobs: int | None):
+    if jobs is not None and jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
     jobs = jobs or os.cpu_count() or 1
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]

@@ -96,9 +96,3 @@ def step_value(x: int, b: int) -> int:
 
 def kaprekar_step(q: DigitQuad) -> DigitQuad:
     return DigitQuad(q.base, step_digits(q.digits, q.base))
-
-
-def is_repdigit(q: DigitQuad) -> bool:
-    """True when all four digits are equal; exactly these map to zero in one step."""
-    a3, a2, a1, a0 = q.digits
-    return a3 == a2 == a1 == a0

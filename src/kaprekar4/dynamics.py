@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digits import DigitQuad, check_base, join_digits, split_digits, step_value, to_digits
+from .digits import DigitQuad, check_base, join_digits, step_value, to_digits
 from .pairs import (
     Pair,
     fixed_pair,
@@ -46,12 +46,7 @@ Terminal = FixedNumeral | ZeroSink | Cycle
 
 
 class UndeterminedOrbitError(RuntimeError):
-    """An orbit neither repeated nor reached a fixed value within its budget."""
-
-
-def default_step_budget(b: int) -> int:
-    # the orbit's pair repeats within ~b^2/2 steps; the slack covers tiny bases
-    return b * b + 16
+    """An orbit neither repeated nor reached a fixed value within ``max_steps``."""
 
 
 @dataclass
@@ -69,11 +64,13 @@ def trajectory(start: DigitQuad, max_steps: int | None = None) -> Trajectory:
     ``distance`` is set only for fixed-numeral terminals: the number of steps
     until the fixed numeral first appears.  The state list stops at the fixed
     numeral, or just before the first repeated state.
+
+    With ``max_steps`` None the orbit runs until it first repeats.  That
+    takes at most b(b+1)/2 steps: every state after the start is the image
+    of one of the b(b+1)/2 difference pairs.
     """
     b = start.base
-    if max_steps is None:
-        max_steps = default_step_budget(b)
-    if max_steps < 1:
+    if max_steps is not None and max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
 
     values = [start.value]
@@ -94,7 +91,7 @@ def trajectory(start: DigitQuad, max_steps: int | None = None) -> Trajectory:
             entry = seen[nxt]
             terminal = Cycle(period=len(values) - entry, entry_step=entry)
             break
-        if len(values) - 1 >= max_steps:
+        if max_steps is not None and len(values) - 1 >= max_steps:
             raise UndeterminedOrbitError(
                 f"orbit of {start.value} in base {b} undetermined after {max_steps} steps"
             )
@@ -121,9 +118,6 @@ class PairDistanceMap:
     base: int
     fixed: Pair
     steps: dict[Pair, int]
-
-    def distance(self, pair: Pair) -> int | None:
-        return self.steps.get(pair)
 
 
 def pair_distance_map(b: int) -> PairDistanceMap:
@@ -184,8 +178,9 @@ class BaseReport:
     """Convergence statistics of one base.
 
     ``max_distance`` is None when no non-zero fixed numeral exists.
-    ``basin_sizes`` (fixed numeral -> basin size) is filled only by the
-    enumeration route, where several fixed numerals can coexist.
+    ``basin_sizes`` (fixed numeral -> basin size) is filled by the
+    enumeration route, for every base it runs; only there can several fixed
+    numerals coexist.
     """
 
     base: int
@@ -236,18 +231,12 @@ def base_report(b: int, method: str = "auto") -> BaseReport:
       - "enumeration": force the brute-force integer route.
     """
     check_base(b)
-    if method == "enumeration":
-        from .enumeration import convergence_report
-
-        return convergence_report(b, with_basins=b in (2, 4))
-    if method == "pairs":
-        return _pairs_report(pair_distance_map(b))
-    if method != "auto":
+    if method not in ("auto", "pairs", "enumeration"):
         raise ValueError(f"unknown method {method!r}")
-    if b % 5 == 0:
-        return _pairs_report(pair_distance_map(b))
-    if b in (2, 4):
+    if method == "enumeration" or (method == "auto" and b in (2, 4)):
         from .enumeration import convergence_report
 
-        return convergence_report(b, with_basins=True)
+        return convergence_report(b)
+    if method == "pairs" or b % 5 == 0:
+        return _pairs_report(pair_distance_map(b))
     return _empty_report(b)

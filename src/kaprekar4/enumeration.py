@@ -90,14 +90,13 @@ def step_table(b: int) -> tuple[np.ndarray, np.ndarray]:
     return images, counts
 
 
-def distance_table(b: int, with_basins: bool = False):
+def distance_table(b: int):
     """(images, counts, distances, fixed values, basin roots) on the image set.
 
     ``images`` and ``counts`` are :func:`step_table`'s.  ``distances[i]`` is
     the number of steps from ``images[i]`` to a non-zero fixed numeral, -1
     when its orbit never reaches one (the zero sink and genuine cycles).
-    ``roots[i]`` is the fixed numeral reached, and None unless
-    ``with_basins``.
+    ``roots[i]`` is the fixed numeral reached, -1 where the distance is.
     """
     images, counts = step_table(b)
     nxt = _step(images, b)
@@ -109,28 +108,25 @@ def distance_table(b: int, with_basins: bool = False):
 
     dist = np.full(images.size, -1, dtype=np.int64)
     dist[fixed] = 0
-    root = None
-    if with_basins:
-        root = np.full(images.size, -1, dtype=np.int64)
-        root[fixed] = fixed_values
+    root = np.full(images.size, -1, dtype=np.int64)
+    root[fixed] = fixed_values
     while True:
         nd = dist[succ]
         mask = (dist < 0) & (nd >= 0)
         if not mask.any():
             break
         dist[mask] = nd[mask] + 1
-        if root is not None:
-            root[mask] = root[succ[mask]]
+        root[mask] = root[succ[mask]]
     return images, counts, dist, fixed_values, root
 
 
-def convergence_report(b: int, with_basins: bool = False) -> BaseReport:
+def convergence_report(b: int) -> BaseReport:
     """BaseReport assembled purely from integer orbits.
 
     A value whose image y converges lies dist(y) + 1 steps out, except a
     fixed numeral itself, which is its own image and lies 0 steps out.
     """
-    images, counts, dist, fixed_values, root = distance_table(b, with_basins)
+    images, counts, dist, fixed_values, root = distance_table(b)
     converged = dist >= 0
     hist = np.zeros(images.size + 1, dtype=np.int64)
     np.add.at(hist, dist[converged] + 1, counts[converged])
@@ -138,11 +134,6 @@ def convergence_report(b: int, with_basins: bool = False) -> BaseReport:
     hist[0] += fixed_values.size
     histogram = {int(i): int(hist[i]) for i in np.flatnonzero(hist)}
     count = sum(histogram.values())
-
-    basin_sizes = None
-    if root is not None:
-        basin_sizes = {int(v): int(counts[root == v].sum()) for v in fixed_values}
-
     return BaseReport(
         base=b,
         max_distance=max(histogram) if histogram else None,
@@ -150,5 +141,5 @@ def convergence_report(b: int, with_basins: bool = False) -> BaseReport:
         convergent_fraction=Fraction(count, b**4),
         histogram=histogram,
         fixed_numerals=[int(v) for v in fixed_values],
-        basin_sizes=basin_sizes,
+        basin_sizes={int(v): int(counts[root == v].sum()) for v in fixed_values},
     )

@@ -198,21 +198,11 @@ def _check_predecessor_inversion(
     return Check("predecessor-inversion", True)
 
 
-def _self_fixed(table: array) -> set[Pair]:
-    return {_pair_at(c) for c, t in enumerate(table) if c == t}
-
-
-def _check_fixed_pair_unique(b: int, table: array) -> Check:
-    self_fixed = _self_fixed(table)
-    expected = {(0, 0), fixed_pair(b)}
+def _check_self_fixed(label: str, table: array, expected: set[Pair]) -> Check:
+    """The pairs the step table maps to themselves are exactly ``expected``."""
+    self_fixed = {_pair_at(c) for c, t in enumerate(table) if c == t}
     ok = self_fixed == expected
-    return Check("fixed-pair-unique", ok, "" if ok else f"self-fixed pairs {self_fixed}")
-
-
-def _check_no_fixed_numeral(table: array) -> Check:
-    self_fixed = _self_fixed(table)
-    ok = self_fixed == {(0, 0)}
-    return Check("no-fixed-numeral", ok, "" if ok else f"self-fixed pairs {self_fixed}")
+    return Check(label, ok, "" if ok else f"self-fixed pairs {self_fixed}")
 
 
 def _h_set(pair: Pair, b: int) -> frozenset[Pair]:
@@ -495,7 +485,7 @@ def verify_base(b: int, depth: str = "formulas") -> PredictionReport:
 
     table = _step_table(b)
     if isinstance(cls, NoFixedPoint):
-        out.checks.append(_check_no_fixed_numeral(table))
+        out.checks.append(_check_self_fixed("no-fixed-numeral", table, {(0, 0)}))
         return out
 
     out.checks.append(_check_predecessor_inversion(b, table, pdm))
@@ -511,7 +501,7 @@ def verify_base(b: int, depth: str = "formulas") -> PredictionReport:
 
     if not isinstance(cls, FiveMultiple):
         raise TypeError(f"unknown base class {cls!r}")
-    out.checks.append(_check_fixed_pair_unique(b, table))
+    out.checks.append(_check_self_fixed("fixed-pair-unique", table, {(0, 0), fixed_pair(b)}))
     out.checks.append(_check_fixed_numeral_landing(b))
     if cls.m > 1:
         out.checks.extend(_basin_structure_checks(b, cls.m, cls.n, pdm))

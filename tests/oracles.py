@@ -183,7 +183,7 @@ def full_distance_table(b: int):
     return dist, fixed_values, root
 
 
-def full_report(b: int, with_basins: bool = False) -> BaseReport:
+def full_report(b: int) -> BaseReport:
     """The BaseReport of base ``b`` counted value by value."""
     dist, fixed_values, root = full_distance_table(b)
     converged = dist >= 0
@@ -193,9 +193,6 @@ def full_report(b: int, with_basins: bool = False) -> BaseReport:
         counts = np.bincount(dist[converged])
         histogram = {i: int(c) for i, c in enumerate(counts) if c}
         max_distance = int(counts.size - 1)
-    basin_sizes = None
-    if with_basins:
-        basin_sizes = {int(v): int((root == v).sum()) for v in fixed_values}
     return BaseReport(
         base=b,
         max_distance=max_distance,
@@ -203,7 +200,7 @@ def full_report(b: int, with_basins: bool = False) -> BaseReport:
         convergent_fraction=Fraction(count, b**4),
         histogram=histogram,
         fixed_numerals=[int(v) for v in fixed_values],
-        basin_sizes=basin_sizes,
+        basin_sizes={int(v): int((root == v).sum()) for v in fixed_values},
     )
 
 

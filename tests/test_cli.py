@@ -237,6 +237,15 @@ def test_sweep_jobs_parallel_identical(capsys, tmp_path):
     assert one.read_bytes() == two.read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_jobs_below_one_is_usage_error(capsys, command, jobs):
+    code, out, err = run(capsys, command, "--bases", "5..6", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "--jobs must be at least 1" in err
+
+
 # ---------------------------------------------------------------------------
 # histogram
 # ---------------------------------------------------------------------------

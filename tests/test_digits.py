@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from kaprekar4.digits import (
     DigitQuad,
-    is_repdigit,
     kaprekar_step,
     split_digits,
     step_value,
@@ -92,12 +91,6 @@ def test_step_depends_only_on_digit_multiset(bv, perm):
     q = to_digits(x, b)
     shuffled = DigitQuad(b, tuple(q.digits[i] for i in perm))
     assert kaprekar_step(q) == kaprekar_step(shuffled)
-
-
-def test_repdigit_examples():
-    assert is_repdigit(DigitQuad(10, (5, 5, 5, 5)))
-    assert is_repdigit(DigitQuad(7, (0, 0, 0, 0)))
-    assert not is_repdigit(DigitQuad(10, (0, 3, 0, 9)))
 
 
 @given(bases, st.integers(0, 2**16 - 1))

@@ -67,6 +67,14 @@ def test_undetermined_orbit():
         trajectory(to_digits(889, 10), max_steps=0)
 
 
+def test_unbounded_orbit_ends_within_pair_count():
+    # every state after the start is the image of one of the b(b+1)/2
+    # difference pairs, so the orbit repeats or ends within that many steps
+    for b in range(2, 11):
+        longest = max(len(trajectory(to_digits(x, b)).states) - 1 for x in range(b**4))
+        assert longest <= b * (b + 1) // 2, b
+
+
 # ---------------------------------------------------------------------------
 # pair distance map
 # ---------------------------------------------------------------------------
@@ -75,11 +83,11 @@ def test_undetermined_orbit():
 def test_pair_distance_map_base_10():
     pdm = pair_distance_map(10)
     assert pdm.fixed == (6, 2)
-    assert pdm.distance((6, 2)) == 0
-    assert pdm.distance((8, 1)) == 2
-    assert pdm.distance((9, 0)) == pdm.distance((8, 1)) + 1
-    assert pdm.distance((5, 5)) == 4  # (5,5) -> (1,1) -> (9,7) -> ... -> (6,2)
-    assert pdm.distance((0, 0)) is None
+    assert pdm.steps.get((6, 2)) == 0
+    assert pdm.steps.get((8, 1)) == 2
+    assert pdm.steps.get((9, 0)) == pdm.steps.get((8, 1)) + 1
+    assert pdm.steps.get((5, 5)) == 4  # (5,5) -> (1,1) -> (9,7) -> ... -> (6,2)
+    assert pdm.steps.get((0, 0)) is None
     assert max(pdm.steps.values()) == 6
 
 
@@ -183,6 +191,8 @@ def test_base_report_methods_agree():
         assert via_pairs.convergent_fraction == via_enum.convergent_fraction, b
         assert via_pairs.histogram == via_enum.histogram, b
         assert via_pairs.fixed_numerals == via_enum.fixed_numerals, b
+        (fixed,) = via_enum.fixed_numerals
+        assert via_enum.basin_sizes == {fixed: via_enum.convergent_count}, b
     with pytest.raises(ValueError):
         base_report(7, method="pairs")
     with pytest.raises(ValueError):
@@ -237,8 +247,10 @@ def test_cycles_only_where_expected():
         (40, False),
     )
     for b, expect_cycles in cases:
-        _, counts, dist, _, root = distance_table(b)
-        assert root is None
+        _, counts, dist, fixed_values, root = distance_table(b)
+        # a value has a root exactly when it has a distance, and the root is fixed
+        assert ((root == -1) == (dist == -1)).all(), b
+        assert set(root[dist >= 0].tolist()) <= set(fixed_values.tolist()), b
         # a value stays out exactly when its image does
         unresolved = int(counts[dist < 0].sum()) - len(zero_orbit_values(b))
         assert (unresolved > 0) == expect_cycles, b

@@ -1,7 +1,6 @@
 """The streamed integer oracle against the full per-value tables."""
 
 import ast
-import dataclasses
 import os
 import subprocess
 import sys
@@ -16,12 +15,9 @@ from oracles import full_report
 
 
 def _assert_reports_match(b):
-    want = full_report(b, with_basins=True)
-    for with_basins in (True, False):
-        got = enumeration.convergence_report(b, with_basins)
-        expected = want if with_basins else dataclasses.replace(want, basin_sizes=None)
-        assert got == expected, (b, with_basins)
-        assert list(got.histogram) == list(expected.histogram), b
+    got, want = enumeration.convergence_report(b), full_report(b)
+    assert got == want, b
+    assert list(got.histogram) == list(want.histogram), b
 
 
 def test_streamed_report_matches_full_tables():

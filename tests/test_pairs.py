@@ -201,6 +201,43 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+# kaprekar4's public names: a name joins or leaves the surface only here
+PUBLIC = {
+    # digits
+    "DigitQuad", "join_digits", "kaprekar_step", "split_digits", "step_value", "to_digits",
+    # dynamics
+    "BaseReport", "Cycle", "FixedNumeral", "PairDistanceMap", "Terminal", "Trajectory",
+    "UndeterminedOrbitError", "ZeroSink", "base_report", "fixed_numeral_value",
+    "integer_distance", "pair_distance_map", "trajectory",
+    # pairs
+    "PairType", "canonical_pairs", "fixed_pair", "pair_count", "pair_of_digits", "step_pair",
+    # predictions
+    "BaseClass", "FiveMultiple", "GridLanding", "NoFixedPoint", "TwoOrFour", "classify_base",
+    "fixed_point_digits", "grid_landing", "landing_bound", "predict_convergent_fraction",
+    "predict_max_distance",
+    # tables
+    "CellBound", "GridArrival", "LandingWitness", "cell_step_bound", "cycle_cells",
+    "grid_arrival", "landing_witnesses", "max_total_steps",
+    # verify
+    "Check", "PredictionReport", "verify_base",
+}
+
+
+def test_public_names_are_pinned():
+    import types
+
+    import kaprekar4
+
+    # submodules are left out: importing kaprekar4.enumeration binds one
+    exported = {
+        name
+        for name, value in vars(kaprekar4).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == PUBLIC
+    assert len(PUBLIC) == 47
+
+
 # ---------------------------------------------------------------------------
 # counting
 # ---------------------------------------------------------------------------
