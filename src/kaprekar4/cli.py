@@ -154,8 +154,9 @@ def parse_digit_list(text: str, b: int) -> Digits:
 def _parallel_map(worker, tasks, jobs: int | None):
     if jobs is not None and jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
-    jobs = jobs or os.cpu_count() or 1
-    if jobs <= 1 or len(tasks) <= 1:
+    # at most one worker per task: the pool forks all its workers at once
+    jobs = min(jobs or os.cpu_count() or 1, len(tasks))
+    if jobs <= 1:
         return [worker(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, tasks, chunksize=1))

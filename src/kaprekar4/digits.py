@@ -66,33 +66,11 @@ def to_digits(x: int, b: int) -> DigitQuad:
     return DigitQuad(b, split_digits(x, b))
 
 
-def step_digits(digits: Digits, b: int) -> Digits:
-    """One subtraction step on a digit tuple, done column by column.
-
-    The descending and ascending rearrangements are subtracted positionally
-    with borrows, so no intermediate ever exceeds b**4.
-    """
-    s0, s1, s2, s3 = sorted(digits)
-    desc = (s3, s2, s1, s0)
-    asc = (s0, s1, s2, s3)
-    out = [0, 0, 0, 0]
-    borrow = 0
-    for i in (3, 2, 1, 0):
-        v = desc[i] - asc[i] - borrow
-        if v < 0:
-            v += b
-            borrow = 1
-        else:
-            borrow = 0
-        out[i] = v
-    # descending >= ascending, so no borrow can survive the last column
-    return (out[0], out[1], out[2], out[3])
-
-
 def step_value(x: int, b: int) -> int:
-    """Value-level convenience wrapper around :func:`step_digits`."""
-    return join_digits(step_digits(split_digits(x, b), b), b)
+    """One subtraction step: D - A, the digits sorted descending minus ascending."""
+    s0, s1, s2, s3 = sorted(split_digits(x, b))
+    return join_digits((s3, s2, s1, s0), b) - join_digits((s0, s1, s2, s3), b)
 
 
 def kaprekar_step(q: DigitQuad) -> DigitQuad:
-    return DigitQuad(q.base, step_digits(q.digits, q.base))
+    return to_digits(step_value(q.value, q.base), q.base)

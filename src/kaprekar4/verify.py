@@ -10,7 +10,8 @@ raised.
 The deep checks of one base share two results: the distance map, which also
 gives the measured numbers, and a flat step table that steps every canonical
 pair once.  Pair ``(d, dp)`` has the code ``d(d+1)/2 + dp``, its index in
-:func:`canonical_pairs` order.
+:func:`canonical_pairs` order.  Each predecessor rule row is checked
+against the step table by count and image.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 from math import isqrt
 
 from .digits import join_digits, step_value, to_digits
@@ -122,11 +122,6 @@ def _step_table(b: int) -> array:
     return array("l", (_code(step_pair(p, b)) for p in canonical_pairs(b)))
 
 
-def _codes(pairs: set[Pair]) -> set[int]:
-    # _code written inline: this runs on every predecessor candidate
-    return {d * (d + 1) // 2 + dp for d, dp in pairs}
-
-
 # ---------------------------------------------------------------------------
 # Deep checks
 # ---------------------------------------------------------------------------
@@ -162,25 +157,25 @@ def _check_predecessor_inversion(
 ) -> Check:
     """The predecessor tables equal a scan of the forward step and, when
     5 | b, the reverse-BFS distance map equals the forward walk."""
-    # preimage by a counting sort of the codes on their images: the
-    # preimage of code c is members[offsets[c]:offsets[c + 1]]
+    # A rule row is a set and each pair has one image, so the row equals the
+    # preimage of code c exactly when it has counts[c] members, each of them
+    # canonical and stepping onto c.
     counts = array("l", [0]) * len(table)
     for t in table:
         counts[t] += 1
-    offsets = array("l", accumulate(counts, initial=0))
-    fill = offsets[:-1]
-    members = array("l", [0]) * len(table)
-    for c, t in enumerate(table):
-        members[fill[t]] = c
-        fill[t] += 1
+
+    def row_ok(row: set[Pair], c: int) -> bool:
+        # _code written inline: this runs on every predecessor candidate
+        return len(row) == counts[c] and all(
+            0 <= dp <= d < b and table[d * (d + 1) // 2 + dp] == c for d, dp in row
+        )
+
     condensed = b % 4 == 0 and b > 4
     for c, p in enumerate(canonical_pairs(b)):
-        scanned = set(members[offsets[c] : offsets[c + 1]])
-        if _codes(predecessors_of(p, b)) != scanned:
+        if not row_ok(predecessors_of(p, b), c):
             return Check("predecessor-inversion", False, f"table wrong at {p}")
-        if condensed and _codes(condensed_predecessors_of(p, b)) != scanned:
+        if condensed and not row_ok(condensed_predecessors_of(p, b), c):
             return Check("predecessor-inversion", False, f"condensed rules wrong at {p}")
-    del members, offsets  # released before the distance array is built
     if pdm is not None:
         # The fixed pair has distance 0 and every other pair is in the map
         # exactly when its image is, one step further out.  Distances then

@@ -237,6 +237,36 @@ def test_sweep_jobs_parallel_identical(capsys, tmp_path):
     assert one.read_bytes() == two.read_bytes()
 
 
+@pytest.mark.parametrize("jobs", [["--jobs", "5000"], []])
+def test_pool_has_at_most_one_worker_per_base(capsys, monkeypatch, jobs):
+    import kaprekar4.cli as cli_mod
+
+    seen = []
+
+    class SerialPool:
+        # stands in for ProcessPoolExecutor: records max_workers, starts nothing
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    argv = ["sweep", "--bases", "2..3", "--format", "csv"]
+    _, serial, _ = run(capsys, *argv, "--jobs", "1")
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 64)
+    code, out, _ = run(capsys, *argv, *jobs)
+    assert code == 0
+    assert seen == [2]
+    assert out == serial
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 @pytest.mark.parametrize("command", ["sweep", "verify"])
 def test_jobs_below_one_is_usage_error(capsys, command, jobs):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from kaprekar4.digits import (
     step_value,
     to_digits,
 )
+from kaprekar4.enumeration import _step
 from oracles import oracle_digits, oracle_step
 
 bases = st.integers(2, 300)
@@ -73,6 +75,13 @@ def test_kaprekar_step_examples():
 def test_step_matches_value_subtraction_oracle(bv):
     b, x = bv
     assert step_value(x, b) == oracle_step(x, b)
+
+
+@pytest.mark.parametrize("b", range(2, 17))
+def test_step_matches_numpy_network_on_whole_domain(b):
+    # the sorted() step against the comparator network of the integer oracle
+    want = _step(np.arange(b**4, dtype=np.int64), b).tolist()
+    assert [step_value(x, b) for x in range(b**4)] == want
 
 
 @given(base_and_value())

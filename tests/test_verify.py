@@ -161,16 +161,34 @@ def test_step_table_follows_canonical_order(b):
         assert verify_mod._pair_at(table[c]) == step_pair(p, b)
 
 
-def _drop_one_candidate(monkeypatch, name, at):
+def _drop_one_candidate(row, at, b):
+    return row - {min(row)}
+
+
+def _swap_in_a_stranger(row, at, b):
+    # same row size, so only the image half of the check can see it
+    stranger = next(p for p in canonical_pairs(b) if step_pair(p, b) != at)
+    return row - {min(row)} | {stranger}
+
+
+def _swap_in_a_non_canonical(row, at, b):
+    # its code lies past the end of the step table
+    return row - {min(row)} | {(b, 0)}
+
+
+def _corrupt_one_row(monkeypatch, name, at, mutate):
     real = getattr(verify_mod, name)
 
-    def dropped(pair, b):
+    def corrupted(pair, b):
         out = real(pair, b)
-        return out - {min(out)} if pair == at else out
+        return mutate(out, at, b) if pair == at else out
 
-    monkeypatch.setattr(verify_mod, name, dropped)
+    monkeypatch.setattr(verify_mod, name, corrupted)
 
 
+@pytest.mark.parametrize(
+    "mutate", [_drop_one_candidate, _swap_in_a_stranger, _swap_in_a_non_canonical]
+)
 @pytest.mark.parametrize(
     "name, b, start, detail",
     [
@@ -178,13 +196,19 @@ def _drop_one_candidate(monkeypatch, name, at):
         ("condensed_predecessors_of", 40, (13, 6), "condensed rules wrong at "),
     ],
 )
-def test_wrong_preimage_fails_predecessor_inversion(monkeypatch, name, b, start, detail):
+def test_wrong_preimage_fails_predecessor_inversion(
+    monkeypatch, capsys, name, b, start, detail, mutate
+):
+    from kaprekar4.cli import main
+
     at = step_pair(start, b)  # its preimage holds at least ``start``
-    _drop_one_candidate(monkeypatch, name, at)
+    _corrupt_one_row(monkeypatch, name, at, mutate)
     rep = verify_base(b, "deep")
     (check,) = [c for c in rep.checks if c.label == "predecessor-inversion"]
     assert not check.passed
     assert check.detail == f"{detail}{at}"
+    assert main(["verify", "--bases", f"{b}..{b}", "--depth", "deep", "--jobs", "1"]) == 1
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("b", [20, 40, 80, 160, 320])
