@@ -19,6 +19,7 @@ from .pairs import (
     pair_count,
     pair_of_digits,
     predecessors_of,
+    step_pair,
 )
 
 
@@ -123,6 +124,8 @@ class PairDistanceMap:
 def pair_distance_map(b: int) -> PairDistanceMap:
     """Reverse breadth-first distances to the fixed pair; needs 5 | b.
 
+    One guard step per reached pair: a candidate predecessor that is not
+    canonical or does not step onto its target raises ``RuntimeError``.
     ``verify --depth deep`` checks the map against the forward pair step.
     For bases 2 and 4 there is no fixed pair; use the enumeration route of
     :func:`base_report` instead.
@@ -134,6 +137,8 @@ def pair_distance_map(b: int) -> PairDistanceMap:
         nxt: list[Pair] = []
         for p in frontier:
             for q in predecessors_of(p, b):
+                if not 0 <= q[1] <= q[0] < b or step_pair(q, b) != p:
+                    raise RuntimeError(f"predecessor {q} of {p} misses it in base {b}")
                 if q not in steps:
                     steps[q] = steps[p] + 1
                     nxt.append(q)

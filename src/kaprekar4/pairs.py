@@ -93,23 +93,13 @@ def fixed_pair(b: int) -> Pair:
 # "d = d' = (b+1)/2  <-  ((b+2)/2, 0)", which is not integral; the correct
 # row (re-derived from the C step {e-1, b-e} with e-1 = b-e) is
 # "d = d' = (b-1)/2  <-  ((b+1)/2, 0)" and is what is implemented here.
-# The exhaustive-scan tests pin this down for every base up to 64.
+# The exhaustive-scan tests pin this down for every base up to 64.  The rows
+# are checked where they are used, not here: by the guard step in the BFS of
+# ``dynamics.pair_distance_map`` and by verify's predecessor-inversion check.
 
 
 def _canon(x: int, y: int) -> Pair:
     return (x, y) if x >= y else (y, x)
-
-
-def _checked(out: set[Pair], pair: Pair, b: int) -> set[Pair]:
-    """The canonical candidates in ``out``, each of which must step onto ``pair``.
-
-    A transcription guard on the rule tables below; it raises rather than
-    asserts so that ``python -O`` keeps it.
-    """
-    out = {p for p in out if 0 <= p[1] <= p[0] <= b - 1}
-    if any(step_pair(p, b) != pair for p in out):
-        raise RuntimeError(f"a candidate in {sorted(out)} misses {pair} in base {b}")
-    return out
 
 
 def _sign_combos(d: int, dp: int, b: int) -> set[Pair]:
@@ -123,7 +113,7 @@ def _sign_combos(d: int, dp: int, b: int) -> set[Pair]:
 
 
 def predecessors_of(pair: Pair, b: int) -> set[Pair]:
-    """Exact preimage of a canonical pair under :func:`step_pair`."""
+    """Exact preimage of a canonical pair under :func:`step_pair`, unchecked."""
     d, dp = pair
     if not 0 <= dp <= d <= b - 1:
         raise ValueError(f"({d}, {dp}) is not canonical for base {b}")
@@ -164,7 +154,7 @@ def predecessors_of(pair: Pair, b: int) -> set[Pair]:
         if d + dp == b - 1:
             out.update({(d + 1, 0), (dp + 1, 0)})
 
-    return _checked(out, pair, b)
+    return out
 
 
 def condensed_predecessors_of(pair: Pair, b: int) -> set[Pair]:
@@ -202,7 +192,7 @@ def condensed_predecessors_of(pair: Pair, b: int) -> set[Pair]:
     if d + dp == b - 1:
         out.update({(d + 1, 0), (dp + 1, 0)})
 
-    return _checked(out, pair, b)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,9 @@ def _check_predecessor_inversion(
         # exactly when its image is, one step further out.  Distances then
         # fall by one along each orbit in the map, so it reaches the fixed
         # pair: these rules hold exactly when the map equals the forward walk.
-        dist = array("l", (pdm.steps.get(p, -1) for p in canonical_pairs(b)))
+        dist = array("l", [-1]) * len(table)
+        for (d, dp), s in pdm.steps.items():
+            dist[d * (d + 1) // 2 + dp] = s
         fixed = _code(pdm.fixed)
         for c, t in enumerate(table):
             s = dist[t]

@@ -112,6 +112,24 @@ def test_pair_distance_map_matches_forward_walk():
         assert pdm.steps == oracle_pair_distances(b, pdm.fixed), b
 
 
+@pytest.mark.parametrize("b, reached", [(10, None), (20, None), (40, None), (320, 38601)])
+def test_one_guard_step_per_reached_pair(monkeypatch, b, reached):
+    # every pair has one image, so the BFS meets each reached pair, the fixed
+    # pair included, once as a candidate and steps it once
+    import kaprekar4.dynamics as dynamics_mod
+
+    calls = []
+
+    def counting(pair, base):
+        calls.append(pair)
+        return step_pair(pair, base)
+
+    monkeypatch.setattr(dynamics_mod, "step_pair", counting)
+    pdm = pair_distance_map(b)
+    assert len(calls) == len(pdm.steps)
+    assert reached is None or len(pdm.steps) == reached
+
+
 # ---------------------------------------------------------------------------
 # integer distance
 # ---------------------------------------------------------------------------

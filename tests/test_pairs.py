@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -130,6 +131,15 @@ def test_predecessor_examples():
     }
 
 
+def test_predecessor_rules_step_nothing(monkeypatch):
+    # the rows are checked where they are used, not by stepping them here
+    def refuse(pair, b):
+        raise RuntimeError("predecessors_of stepped a candidate")
+
+    monkeypatch.setattr(pairs_mod, "step_pair", refuse)
+    assert predecessors_of((6, 2), 10) == {(8, 6), (8, 4), (4, 2), (6, 2)}
+
+
 def test_predecessors_invert_step_small_bases():
     # acceptance covers 5..60; tiny bases are pinned here
     for b in range(2, 13):
@@ -154,22 +164,50 @@ def test_condensed_matches_general_up_to_64():
             assert condensed_predecessors_of(p, b) == predecessors_of(p, b), (b, p)
 
 
-def test_predecessor_guard_raises(monkeypatch):
-    # a candidate that does not step onto its target is a transcription error
-    monkeypatch.setattr(pairs_mod, "step_pair", lambda pair, b: (0, 0))
-    with pytest.raises(RuntimeError):
-        predecessors_of((1, 1), 10)
-    with pytest.raises(RuntimeError):
-        condensed_predecessors_of((4, 2), 8)
+def _extra_candidates(b):
+    # a canonical pair that steps elsewhere, a pair past the base, and the
+    # fixed pair written backwards: not canonical, yet the formula steps it home
+    d, dp = target = fixed_pair(b)
+    stranger = next(p for p in canonical_pairs(b) if step_pair(p, b) != target)
+    assert step_pair((dp, d), b) == target
+    return [stranger, (b, 0), (dp, d)]
+
+
+def test_predecessor_guard_raises(monkeypatch, capsys):
+    # the rule rows are guarded where the BFS reads them: a wrong candidate in
+    # the fixed pair's row is a transcription error, and sweep exits 4 on it
+    import kaprekar4.cli as cli_mod
+    import kaprekar4.dynamics as dynamics_mod
+
+    real = dynamics_mod.predecessors_of
+    target = fixed_pair(10)
+    for extra in _extra_candidates(10):
+
+        def corrupted(pair, b, extra=extra):
+            out = real(pair, b)
+            return out | {extra} if pair == target else out
+
+        monkeypatch.setattr(dynamics_mod, "predecessors_of", corrupted)
+        with pytest.raises(RuntimeError, match=re.escape(f"predecessor {extra} of {target} ")):
+            dynamics_mod.pair_distance_map(10)
+        code = cli_mod.main(["sweep", "--bases", "10..10", "--jobs", "1"])
+        err = capsys.readouterr().err
+        assert code == 4, extra
+        assert err.startswith("internal error: "), extra
 
 
 def test_guards_survive_python_O():
     # python -O strips assert statements; the transcription guards must still raise
     probe = (
-        "import kaprekar4.pairs as p, kaprekar4.predictions as pr\n"
-        "p.step_pair = lambda pair, b: (0, 0)\n"
+        "import kaprekar4.dynamics as d, kaprekar4.predictions as pr\n"
+        "real = d.predecessors_of\n"
+        "def corrupt(extra):\n"
+        "    row = lambda pair, b: real(pair, b) | ({extra} if pair == (6, 2) else set())\n"
+        "    d.predecessors_of = row\n"
+        "    return d.pair_distance_map(10)\n"
         "pr.kaprekar_step = lambda q: None\n"
-        "for call in (lambda: p.predecessors_of((1, 1), 10), lambda: pr.fixed_point_digits(10)):\n"
+        f"calls = [lambda e=e: corrupt(e) for e in {_extra_candidates(10)}]\n"
+        "for call in calls + [lambda: pr.fixed_point_digits(10)]:\n"
         "    try:\n"
         "        call()\n"
         "    except RuntimeError:\n"
@@ -183,7 +221,7 @@ def test_guards_survive_python_O():
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert result.stdout.split() == ["raised", "raised"]
+    assert result.stdout.split() == ["raised"] * 4
 
 
 def test_no_assert_statements_in_src():

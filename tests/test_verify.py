@@ -211,6 +211,13 @@ def test_wrong_preimage_fails_predecessor_inversion(
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("b", [61, 62, 63, 64, 66, 127, 128])
+def test_rule_rows_at_bases_verify_skips(b):
+    # verify runs predecessor-inversion only for b in {2, 4} and 5 | b; these
+    # bases cover both parities, every b mod 4, and the condensed rules
+    assert verify_mod._check_predecessor_inversion(b, verify_mod._step_table(b), None).passed
+
+
 @pytest.mark.parametrize("b", [20, 40, 80, 160, 320])
 def test_landing_memo_equals_grid_landing(b):
     steps, cells = verify_mod._grid_landings(b, grid_exponent(b), verify_mod._step_table(b))
