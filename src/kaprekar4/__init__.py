@@ -8,7 +8,6 @@ and convergent fractions, and a verification harness comparing the two.
 from .digits import (
     DigitQuad,
     join_digits,
-    kaprekar_step,
     split_digits,
     step_value,
     to_digits,

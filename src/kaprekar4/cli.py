@@ -215,7 +215,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     t = trajectory(start, max_steps=args.max_steps)
     payload = {
         "base": b,
-        "start": _numeral_json(t.start),
+        "start": _numeral_json(t.states[0]),
         "states": [_numeral_json(s) for s in t.states],
         "terminal": _terminal_json(t.terminal),
         "distance": t.distance,
@@ -348,11 +348,11 @@ def cmd_histogram(args: argparse.Namespace) -> int:
     b = args.base
     if isinstance(classify_base(b), NoFixedPoint):
         raise UsageError(f"base {b} has no non-zero fixed point")
-    hist = base_report(b).histogram
-    total = sum(hist.values())
+    report = base_report(b)
+    total = report.convergent_count
     rows = []
-    for k in range(max(hist) + 1 if hist else 0):
-        count = hist.get(k, 0)
+    for k in range(report.max_distance + 1):
+        count = report.histogram.get(k, 0)
         fraction = fraction_to_decimal(Fraction(count, total)) if args.normalize else None
         rows.append({"k": k, "count": count, "fraction": fraction})
     payload = {"base": b, "total": total, "normalized": bool(args.normalize), "rows": rows}

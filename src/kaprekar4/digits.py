@@ -70,7 +70,3 @@ def step_value(x: int, b: int) -> int:
     """One subtraction step: D - A, the digits sorted descending minus ascending."""
     s0, s1, s2, s3 = sorted(split_digits(x, b))
     return join_digits((s3, s2, s1, s0), b) - join_digits((s0, s1, s2, s3), b)
-
-
-def kaprekar_step(q: DigitQuad) -> DigitQuad:
-    return to_digits(step_value(q.value, q.base), q.base)

@@ -52,8 +52,6 @@ class UndeterminedOrbitError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    base: int
-    start: DigitQuad
     states: list[DigitQuad]
     terminal: Terminal
     distance: int | None
@@ -100,7 +98,7 @@ def trajectory(start: DigitQuad, max_steps: int | None = None) -> Trajectory:
         values.append(nxt)
 
     states = [to_digits(v, b) for v in values]
-    return Trajectory(base=b, start=start, states=states, terminal=terminal, distance=distance)
+    return Trajectory(states=states, terminal=terminal, distance=distance)
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +180,31 @@ def integer_distance(q: DigitQuad, pdm: PairDistanceMap) -> int | None:
 class BaseReport:
     """Convergence statistics of one base.
 
-    ``max_distance`` is None when no non-zero fixed numeral exists.
-    ``basin_sizes`` (fixed numeral -> basin size) is filled by the
-    enumeration route, for every base it runs; only there can several fixed
-    numerals coexist.
+    A report stores the distance histogram (distance -> how many numerals
+    lie that many steps from a non-zero fixed numeral) and the fixed
+    numerals; the maximum distance, the convergent count and the convergent
+    fraction are derived from the histogram.  ``basin_sizes`` (fixed
+    numeral -> basin size) is filled by the enumeration route, for every
+    base it runs; only there can several fixed numerals coexist.
     """
 
     base: int
-    max_distance: int | None
-    convergent_count: int
-    convergent_fraction: Fraction
     histogram: dict[int, int]
     fixed_numerals: list[int]
     basin_sizes: dict[int, int] | None = None
+
+    @property
+    def max_distance(self) -> int | None:
+        """None when no non-zero fixed numeral exists."""
+        return max(self.histogram, default=None)
+
+    @property
+    def convergent_count(self) -> int:
+        return sum(self.histogram.values())
+
+    @property
+    def convergent_fraction(self) -> Fraction:
+        return Fraction(self.convergent_count, self.base**4)
 
 
 def _pairs_report(pdm: PairDistanceMap) -> BaseReport:
@@ -204,26 +214,7 @@ def _pairs_report(pdm: PairDistanceMap) -> BaseReport:
         if p == pdm.fixed:
             continue
         hist[s + 1] = hist.get(s + 1, 0) + pair_count(p, b)
-    count = sum(hist.values())
-    return BaseReport(
-        base=b,
-        max_distance=max(hist),
-        convergent_count=count,
-        convergent_fraction=Fraction(count, b**4),
-        histogram=dict(sorted(hist.items())),
-        fixed_numerals=[fixed_numeral_value(b)],
-    )
-
-
-def _empty_report(b: int) -> BaseReport:
-    return BaseReport(
-        base=b,
-        max_distance=None,
-        convergent_count=0,
-        convergent_fraction=Fraction(0, 1),
-        histogram={},
-        fixed_numerals=[],
-    )
+    return BaseReport(b, dict(sorted(hist.items())), [fixed_numeral_value(b)])
 
 
 def base_report(b: int, method: str = "auto") -> BaseReport:
@@ -244,4 +235,4 @@ def base_report(b: int, method: str = "auto") -> BaseReport:
         return convergence_report(b)
     if method == "pairs" or b % 5 == 0:
         return _pairs_report(pair_distance_map(b))
-    return _empty_report(b)
+    return BaseReport(b, {}, [])

@@ -11,8 +11,6 @@ maps into itself; a value's distance is one more than its image's.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .digits import check_base
@@ -132,14 +130,9 @@ def convergence_report(b: int) -> BaseReport:
     np.add.at(hist, dist[converged] + 1, counts[converged])
     hist[1] -= fixed_values.size
     hist[0] += fixed_values.size
-    histogram = {int(i): int(hist[i]) for i in np.flatnonzero(hist)}
-    count = sum(histogram.values())
     return BaseReport(
-        base=b,
-        max_distance=max(histogram) if histogram else None,
-        convergent_count=count,
-        convergent_fraction=Fraction(count, b**4),
-        histogram=histogram,
-        fixed_numerals=[int(v) for v in fixed_values],
-        basin_sizes={int(v): int(counts[root == v].sum()) for v in fixed_values},
+        b,
+        {int(i): int(hist[i]) for i in np.flatnonzero(hist)},
+        [int(v) for v in fixed_values],
+        {int(v): int(counts[root == v].sum()) for v in fixed_values},
     )

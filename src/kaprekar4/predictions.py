@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digits import DigitQuad, check_base, kaprekar_step
+from .digits import DigitQuad, check_base, step_value
 from .pairs import Pair, step_pair
 
 
@@ -53,7 +53,7 @@ def fixed_point_digits(b: int) -> DigitQuad:
         raise ValueError(f"base {b} is not a multiple of 5")
     u = b // 5
     q = DigitQuad(b, (3 * u, u - 1, 4 * u - 1, 2 * u))
-    if kaprekar_step(q) != q:
+    if step_value(q.value, b) != q.value:
         raise RuntimeError(f"digit formula gives {q.digits}, not a fixed numeral of base {b}")
     return q
 

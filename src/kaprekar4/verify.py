@@ -78,7 +78,6 @@ class Check:
 @dataclass
 class PredictionReport:
     base: int
-    depth: str
     predicted_max_distance: int | None
     measured_max_distance: int | None
     max_distance_verdict: str
@@ -469,7 +468,6 @@ def verify_base(b: int, depth: str = "formulas") -> PredictionReport:
 
     out = PredictionReport(
         base=b,
-        depth=depth,
         predicted_max_distance=predicted_max,
         measured_max_distance=measured_max,
         max_distance_verdict=_verdict(predicted_max, measured_max),

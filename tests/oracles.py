@@ -12,7 +12,6 @@ keeps only the image set), so they are the reference for small bases.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 
@@ -186,19 +185,10 @@ def full_distance_table(b: int):
 def full_report(b: int) -> BaseReport:
     """The BaseReport of base ``b`` counted value by value."""
     dist, fixed_values, root = full_distance_table(b)
-    converged = dist >= 0
-    count = int(converged.sum())
-    histogram, max_distance = {}, None
-    if count:
-        counts = np.bincount(dist[converged])
-        histogram = {i: int(c) for i, c in enumerate(counts) if c}
-        max_distance = int(counts.size - 1)
+    counts = np.bincount(dist[dist >= 0])
     return BaseReport(
         base=b,
-        max_distance=max_distance,
-        convergent_count=count,
-        convergent_fraction=Fraction(count, b**4),
-        histogram=histogram,
+        histogram={i: int(c) for i, c in enumerate(counts) if c},
         fixed_numerals=[int(v) for v in fixed_values],
         basin_sizes={int(v): int((root == v).sum()) for v in fixed_values},
     )

@@ -351,7 +351,6 @@ def test_verify_mismatch_exit_1(capsys, monkeypatch):
     def fake(b, depth="formulas"):
         return PredictionReport(
             base=b,
-            depth=depth,
             predicted_max_distance=1,
             measured_max_distance=2,
             max_distance_verdict="mismatch",

@@ -195,6 +195,7 @@ def test_base_report_no_fixed_point():
     rep = base_report(6)
     assert rep.max_distance is None
     assert rep.convergent_count == 0
+    assert rep.convergent_fraction == 0
     assert rep.histogram == {}
     assert rep.fixed_numerals == []
 

@@ -205,7 +205,7 @@ def test_guards_survive_python_O():
         "    row = lambda pair, b: real(pair, b) | ({extra} if pair == (6, 2) else set())\n"
         "    d.predecessors_of = row\n"
         "    return d.pair_distance_map(10)\n"
-        "pr.kaprekar_step = lambda q: None\n"
+        "pr.step_value = lambda x, b: None\n"
         f"calls = [lambda e=e: corrupt(e) for e in {_extra_candidates(10)}]\n"
         "for call in calls + [lambda: pr.fixed_point_digits(10)]:\n"
         "    try:\n"
@@ -242,7 +242,7 @@ def test_no_assert_statements_in_src():
 # kaprekar4's public names: a name joins or leaves the surface only here
 PUBLIC = {
     # digits
-    "DigitQuad", "join_digits", "kaprekar_step", "split_digits", "step_value", "to_digits",
+    "DigitQuad", "join_digits", "split_digits", "step_value", "to_digits",
     # dynamics
     "BaseReport", "Cycle", "FixedNumeral", "PairDistanceMap", "Terminal", "Trajectory",
     "UndeterminedOrbitError", "ZeroSink", "base_report", "fixed_numeral_value",
@@ -273,7 +273,24 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC
-    assert len(PUBLIC) == 47
+    assert len(PUBLIC) == 46
+
+
+def test_result_fields_are_pinned():
+    # a result stores what was measured; whatever follows from it is derived
+    from dataclasses import fields
+
+    from kaprekar4 import BaseReport, PredictionReport, Trajectory
+
+    def stored(cls):
+        return [f.name for f in fields(cls)]
+
+    assert stored(BaseReport) == ["base", "histogram", "fixed_numerals", "basin_sizes"]
+    assert stored(Trajectory) == ["states", "terminal", "distance"]
+    assert stored(PredictionReport) == [
+        "base", "predicted_max_distance", "measured_max_distance", "max_distance_verdict",
+        "predicted_fraction", "measured_fraction", "fraction_verdict", "checks",
+    ]
 
 
 # ---------------------------------------------------------------------------

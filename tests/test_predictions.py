@@ -62,7 +62,7 @@ def test_fixed_point_digits():
 def test_fixed_point_guard_raises(monkeypatch):
     import kaprekar4.predictions as predictions_mod
 
-    monkeypatch.setattr(predictions_mod, "kaprekar_step", lambda q: None)
+    monkeypatch.setattr(predictions_mod, "step_value", lambda x, b: None)
     with pytest.raises(RuntimeError):
         fixed_point_digits(10)
 
