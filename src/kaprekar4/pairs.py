@@ -5,11 +5,16 @@ written (outer, inner).  The subtraction step's output value is
 outer*(b^3 - 1) + inner*(b^2 - b), so the pair is a sufficient statistic:
 two numerals with the same pair have the same image.  That collapses the
 b^4 integer states to b*(b+1)/2 canonical pairs.
+
+Pair ``(d, dp)`` has the code ``d(d+1)/2 + dp``, its index in
+:func:`canonical_pairs` order; the step table of a base maps codes to codes.
 """
 
 from __future__ import annotations
 
+from array import array
 from enum import Enum
+from math import isqrt
 from typing import Iterator
 
 from .digits import Digits, check_base
@@ -72,6 +77,28 @@ def step_pair(pair: Pair, b: int) -> Pair:
     return (x, y) if x >= y else (y, x)
 
 
+def _code(pair: Pair) -> int:
+    d, dp = pair
+    return d * (d + 1) // 2 + dp
+
+
+def _pair_at(code: int) -> Pair:
+    d = (isqrt(8 * code + 1) - 1) // 2
+    return (d, code - d * (d + 1) // 2)
+
+
+def _step_table(b: int) -> array:
+    """Entry ``c`` is the code of the image of the pair with code ``c``."""
+    return array("l", (_code(step_pair(p, b)) for p in canonical_pairs(b)))
+
+
+def _canonical(pair: Pair, b: int) -> Pair:
+    d, dp = pair
+    if not 0 <= dp <= d <= b - 1:
+        raise ValueError(f"({d}, {dp}) is not canonical for base {b}")
+    return pair
+
+
 def fixed_pair(b: int) -> Pair:
     """The pair (3b/5, b/5) of the non-zero fixed numeral; needs 5 | b."""
     check_base(b)
@@ -114,9 +141,7 @@ def _sign_combos(d: int, dp: int, b: int) -> set[Pair]:
 
 def predecessors_of(pair: Pair, b: int) -> set[Pair]:
     """Exact preimage of a canonical pair under :func:`step_pair`, unchecked."""
-    d, dp = pair
-    if not 0 <= dp <= d <= b - 1:
-        raise ValueError(f"({d}, {dp}) is not canonical for base {b}")
+    d, dp = _canonical(pair, b)
     out: set[Pair] = set()
     kind = classify_pair(pair, b)
 
@@ -165,9 +190,7 @@ def condensed_predecessors_of(pair: Pair, b: int) -> set[Pair]:
     """
     if b % 4 != 0 or b <= 4:
         raise ValueError(f"condensed predecessor rules need 4 | b and b > 4, got {b}")
-    d, dp = pair
-    if not 0 <= dp <= d <= b - 1:
-        raise ValueError(f"({d}, {dp}) is not canonical for base {b}")
+    d, dp = _canonical(pair, b)
 
     if pair == (0, 0):
         return {(0, 0)}
@@ -209,9 +232,7 @@ def pair_count(pair: Pair, b: int) -> int:
     t gives one exact closed form per pair shape: b for d = 0,
     (b-d)(12d-4) for dp = 0, 6(b-d) for d = dp, and 24(b-d)(d-dp) otherwise.
     """
-    d, dp = pair
-    if not 0 <= dp <= d <= b - 1:
-        raise ValueError(f"({d}, {dp}) is not canonical for base {b}")
+    d, dp = _canonical(pair, b)
     if d == 0:
         return b
     if dp == 0:

@@ -8,10 +8,11 @@ integer-level cycle entries).  Mismatches are reported as data, never
 raised.
 
 The deep checks of one base share two results: the distance map, which also
-gives the measured numbers, and a flat step table that steps every canonical
-pair once.  Pair ``(d, dp)`` has the code ``d(d+1)/2 + dp``, its index in
-:func:`canonical_pairs` order.  Each predecessor rule row is checked
-against the step table by count and image.
+gives the measured numbers, and the step table of :mod:`pairs`.  The checks
+walk pair orbits only through that table; ``landing-witnesses`` runs
+:func:`grid_landing`, the predictor it tests.  Each general predecessor rule
+row is checked against the table by count and image, and each condensed row
+against the general one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
 
 from .digits import join_digits, step_value, to_digits
 from .dynamics import (
@@ -36,12 +36,14 @@ from .pairs import (
     Pair,
     PairType,
     _canon,
+    _code,
+    _pair_at,
+    _step_table,
     canonical_pairs,
     classify_pair,
     condensed_predecessors_of,
     fixed_pair,
     predecessors_of,
-    step_pair,
 )
 from .predictions import (
     FiveMultiple,
@@ -102,26 +104,6 @@ def _verdict(predicted, measured) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The step table
-# ---------------------------------------------------------------------------
-
-
-def _code(pair: Pair) -> int:
-    d, dp = pair
-    return d * (d + 1) // 2 + dp
-
-
-def _pair_at(code: int) -> Pair:
-    d = (isqrt(8 * code + 1) - 1) // 2
-    return (d, code - d * (d + 1) // 2)
-
-
-def _step_table(b: int) -> array:
-    """Entry ``c`` is the code of the image of the pair with code ``c``."""
-    return array("l", (_code(step_pair(p, b)) for p in canonical_pairs(b)))
-
-
-# ---------------------------------------------------------------------------
 # Deep checks
 # ---------------------------------------------------------------------------
 
@@ -158,22 +140,19 @@ def _check_predecessor_inversion(
     5 | b, the reverse-BFS distance map equals the forward walk."""
     # A rule row is a set and each pair has one image, so the row equals the
     # preimage of code c exactly when it has counts[c] members, each of them
-    # canonical and stepping onto c.
+    # canonical and stepping onto c.  A condensed row is then right exactly
+    # when it equals the general row.
     counts = array("l", [0]) * len(table)
     for t in table:
         counts[t] += 1
-
-    def row_ok(row: set[Pair], c: int) -> bool:
-        # _code written inline: this runs on every predecessor candidate
-        return len(row) == counts[c] and all(
-            0 <= dp <= d < b and table[d * (d + 1) // 2 + dp] == c for d, dp in row
-        )
-
     condensed = b % 4 == 0 and b > 4
     for c, p in enumerate(canonical_pairs(b)):
-        if not row_ok(predecessors_of(p, b), c):
+        row = predecessors_of(p, b)
+        if len(row) != counts[c] or not all(
+            0 <= q[1] <= q[0] < b and table[_code(q)] == c for q in row
+        ):
             return Check("predecessor-inversion", False, f"table wrong at {p}")
-        if condensed and not row_ok(condensed_predecessors_of(p, b), c):
+        if condensed and condensed_predecessors_of(p, b) != row:
             return Check("predecessor-inversion", False, f"condensed rules wrong at {p}")
     if pdm is not None:
         # The fixed pair has distance 0 and every other pair is in the map
@@ -181,8 +160,8 @@ def _check_predecessor_inversion(
         # fall by one along each orbit in the map, so it reaches the fixed
         # pair: these rules hold exactly when the map equals the forward walk.
         dist = array("l", [-1]) * len(table)
-        for (d, dp), s in pdm.steps.items():
-            dist[d * (d + 1) // 2 + dp] = s
+        for p, s in pdm.steps.items():
+            dist[_code(p)] = s
         fixed = _code(pdm.fixed)
         for c, t in enumerate(table):
             s = dist[t]
@@ -255,6 +234,14 @@ def _basin_structure_checks(b: int, m: int, n: int, pdm: PairDistanceMap) -> lis
     return checks
 
 
+def _orbit(pair: Pair, steps: int, table: array) -> list[Pair]:
+    """``pair`` and its first ``steps`` images, read off the step table."""
+    codes = [_code(pair)]
+    for _ in range(steps):
+        codes.append(table[codes[-1]])
+    return [_pair_at(c) for c in codes]
+
+
 def _grid_landings(b: int, n: int, table: array) -> tuple[array, array]:
     """:func:`grid_landing` of every pair code, memoised along the step table.
 
@@ -315,36 +302,21 @@ def _grid_checks(b: int, n: int, table: array) -> list[Check]:
     )
 
     # arrival table: iterate each grid cell the stated number of steps
-    arrivals_ok = True
     detail = ""
-    for p in range(5):
-        for q in range(p + 1):
-            entry = grid_arrival(p, q, n)
-            cur = (p * g, q * g)
-            for _ in range(entry.steps):
-                cur = step_pair(cur, b)
-            if cur != (entry.cell[0] * g, entry.cell[1] * g):
-                arrivals_ok = False
-                detail = f"cell ({p},{q}) reaches {cur}, table says {entry.cell}"
-                break
-    checks.append(Check("grid-arrival-table", arrivals_ok, detail))
+    for p, q in cell_pairs:
+        entry = grid_arrival(p, q, n)
+        cur = _orbit((p * g, q * g), entry.steps, table)[-1]
+        if cur != (entry.cell[0] * g, entry.cell[1] * g):
+            detail = f"cell ({p},{q}) reaches {cur}, table says {entry.cell}"
+            break
+    checks.append(Check("grid-arrival-table", not detail, detail))
 
     # iterate identities along the two slow approach chains
-    cur = (1, 1)
-    ok = True
-    for t in range(1, n + 2):
-        cur = step_pair(cur, b)
-        if cur != (b - 2 ** (t - 1), b - 3 * 2 ** (t - 1)):
-            ok = False
-            break
+    orbit = _orbit((1, 1), n + 1, table)
+    ok = all(orbit[t] == (b - 2 ** (t - 1), b - 3 * 2 ** (t - 1)) for t in range(1, n + 2))
     checks.append(Check("iterates-from-(1,1)", ok))
-    cur = (1, 0)
-    ok = True
-    for t in range(1, n + 3):
-        cur = step_pair(cur, b)
-        if t >= 3 and cur != (b - 2 ** (t - 2), b - 2 ** (t - 1)):
-            ok = False
-            break
+    orbit = _orbit((1, 0), n + 2, table)
+    ok = all(orbit[t] == (b - 2 ** (t - 2), b - 2 ** (t - 1)) for t in range(3, n + 3))
     checks.append(Check("iterates-from-(1,0)", ok))
 
     if n < 5:
@@ -381,17 +353,20 @@ def _grid_checks(b: int, n: int, table: array) -> list[Check]:
             f"column max {column_max}, predicted distance {predicted}",
         )
     )
-    checks.append(_check_cycle_rows(b, n))
+    checks.append(_check_cycle_rows(b, n, table))
     return checks
 
 
-def _pair_on_cycle(pair: Pair, b: int) -> bool:
-    cur = step_pair(pair, b)
-    for _ in range(2 * b):
-        if cur == pair:
-            return True
-        cur = step_pair(cur, b)
-    return False
+def _on_cycle(code: int, table: array) -> bool:
+    """Whether ``code`` lies on a loop of the step table: Floyd's search meets
+    the loop its orbit ends in, and one turn of that loop is walked."""
+    slow, fast = table[code], table[table[code]]
+    while slow != fast:
+        slow, fast = table[slow], table[table[fast]]
+    k = table[slow]
+    while k != slow and k != code:
+        k = table[k]
+    return k == code
 
 
 def _cycle_row_representatives(cell: Pair, b: int, n: int) -> list[int]:
@@ -409,7 +384,7 @@ def _cycle_row_representatives(cell: Pair, b: int, n: int) -> list[int]:
     return values
 
 
-def _check_cycle_rows(b: int, n: int) -> Check:
+def _check_cycle_rows(b: int, n: int, table: array) -> Check:
     """Cycle-marked cells: sampled orbits must turn periodic within the
     tabulated step count.
 
@@ -424,7 +399,7 @@ def _check_cycle_rows(b: int, n: int) -> Check:
     g = 2**n
     for cell in cycle_cells(n):
         bound = cell_step_bound(*cell, n)
-        exact = cell != (0, 0) and not _pair_on_cycle((cell[0] * g, cell[1] * g), b)
+        exact = cell != (0, 0) and not _on_cycle(_code((cell[0] * g, cell[1] * g)), table)
         entries = []
         for value in _cycle_row_representatives(cell, b, n):
             t = trajectory(to_digits(value, b))

@@ -23,6 +23,8 @@ from kaprekar4.dynamics import (
 )
 from kaprekar4.pairs import (
     PairType,
+    _code,
+    _step_table,
     canonical_pairs,
     classify_pair,
     condensed_predecessors_of,
@@ -43,7 +45,7 @@ from kaprekar4.tables import (
     landing_witnesses,
     max_total_steps,
 )
-from kaprekar4.verify import _pair_on_cycle
+from kaprekar4.verify import _on_cycle
 from oracles import full_step_table, oracle_preimages, pair_code_table
 
 
@@ -261,6 +263,7 @@ def test_criterion_12_total_step_table():
     for n in range(5, 9):
         b = 5 * 2**n
         g = 2**n
+        table = _step_table(b)
         if max_total_steps(n) != predict_max_distance(b):
             problems.append(f"n={n}: column max {max_total_steps(n)}")
         for cell in cycle_cells(n):
@@ -271,7 +274,7 @@ def test_criterion_12_total_step_table():
                 starts = [(cell[0] * g, cell[1] * g)]
                 starts += [w.start for w in landing_witnesses(n) if w.cell == cell]
                 reps = [join_digits((d, dp, 0, 0), b) for d, dp in starts]
-            exact = cell != (0, 0) and not _pair_on_cycle((cell[0] * g, cell[1] * g), b)
+            exact = cell != (0, 0) and not _on_cycle(_code((cell[0] * g, cell[1] * g)), table)
             for value in reps:
                 t = trajectory(to_digits(value, b))
                 if cell == (0, 0):

@@ -1,7 +1,10 @@
+import sys
+
 import pytest
 
 import kaprekar4.verify as verify_mod
-from kaprekar4.pairs import canonical_pairs, step_pair
+from kaprekar4.dynamics import pair_distance_map
+from kaprekar4.pairs import _code, _pair_at, _step_table, canonical_pairs, step_pair
 from kaprekar4.predictions import grid_exponent, grid_landing
 from kaprekar4.verify import MATCH, MISMATCH, NOT_PREDICTED, Check, verify_base
 
@@ -152,13 +155,51 @@ def test_one_distance_map_per_deep_verify(monkeypatch, b):
 
 @pytest.mark.parametrize("b", [7, 20, 320])
 def test_step_table_follows_canonical_order(b):
-    table = verify_mod._step_table(b)
+    table = _step_table(b)
     pairs = list(canonical_pairs(b))
     assert len(table) == len(pairs)
     for c, p in enumerate(pairs):
-        assert verify_mod._code(p) == c
-        assert verify_mod._pair_at(c) == p
-        assert verify_mod._pair_at(table[c]) == step_pair(p, b)
+        assert _code(p) == c
+        assert _pair_at(c) == p
+        assert _pair_at(table[c]) == step_pair(p, b)
+
+
+@pytest.mark.parametrize("b", [15, 20, 40, 60, 80])
+def test_deep_verify_steps_each_pair_once(monkeypatch, b):
+    # the step table steps every canonical pair once and the BFS guard every
+    # reached pair once; every other pair orbit reads the table.  These bases
+    # (m > 1 or n < 5) have no landing-witnesses check, which runs grid_landing.
+    reached = len(pair_distance_map(b).steps)
+    calls = []
+
+    def counting(pair, base):
+        calls.append(pair)
+        return step_pair(pair, base)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("kaprekar4") and getattr(mod, "step_pair", None) is step_pair:
+            monkeypatch.setattr(mod, "step_pair", counting)
+    assert verify_base(b, "deep").all_match
+    assert len(calls) == reached + b * (b + 1) // 2
+
+
+def _on_cycle_by_seen_set(code, table):
+    # the first code the orbit repeats is where it enters its loop, so that
+    # code is ``code`` itself exactly when ``code`` lies on the loop
+    seen = set()
+    k = code
+    while k not in seen:
+        seen.add(k)
+        k = table[k]
+    return k == code
+
+
+@pytest.mark.parametrize("b", [20, 80, 320])
+def test_on_cycle_matches_a_seen_set_walk(b):
+    table = _step_table(b)
+    on_cycle = [c for c in range(len(table)) if verify_mod._on_cycle(c, table)]
+    assert on_cycle == [c for c in range(len(table)) if _on_cycle_by_seen_set(c, table)]
+    assert _code((0, 0)) in on_cycle and _code((1, 0)) not in on_cycle
 
 
 def _drop_one_candidate(row, at, b):
@@ -215,22 +256,22 @@ def test_wrong_preimage_fails_predecessor_inversion(
 def test_rule_rows_at_bases_verify_skips(b):
     # verify runs predecessor-inversion only for b in {2, 4} and 5 | b; these
     # bases cover both parities, every b mod 4, and the condensed rules
-    assert verify_mod._check_predecessor_inversion(b, verify_mod._step_table(b), None).passed
+    assert verify_mod._check_predecessor_inversion(b, _step_table(b), None).passed
 
 
 @pytest.mark.parametrize("b", [20, 40, 80, 160, 320])
 def test_landing_memo_equals_grid_landing(b):
-    steps, cells = verify_mod._grid_landings(b, grid_exponent(b), verify_mod._step_table(b))
+    steps, cells = verify_mod._grid_landings(b, grid_exponent(b), _step_table(b))
     for c, p in enumerate(canonical_pairs(b)):
         landing = grid_landing(p, b)
-        assert (steps[c], verify_mod._pair_at(cells[c])) == (landing.steps, landing.cell), p
+        assert (steps[c], _pair_at(cells[c])) == (landing.steps, landing.cell), p
 
 
 def test_landing_memo_keeps_the_budget():
     b, n = 20, 2
     budget = 2 * n + 8
-    table = verify_mod._step_table(b)
-    table[verify_mod._code((1, 0))] = verify_mod._code((1, 0))  # off-grid self-loop
+    table = _step_table(b)
+    table[_code((1, 0))] = _code((1, 0))  # off-grid self-loop
     with pytest.raises(RuntimeError, match=f"pair \\(1, 0\\) found no grid pair within {budget}"):
         verify_mod._grid_landings(b, n, table)
 
@@ -238,7 +279,7 @@ def test_landing_memo_keeps_the_budget():
     g = b // 5
     off_grid = [c for c, (d, dp) in enumerate(canonical_pairs(b)) if d % g or dp % g]
     for length in (budget, budget + 1):
-        chained = verify_mod._step_table(b)
+        chained = _step_table(b)
         for k, c in enumerate(off_grid):
             chained[c] = off_grid[k - 1] if 0 < k < length else 0
         if length == budget:
