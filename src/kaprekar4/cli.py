@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .digits import DigitQuad, Digits, check_base, join_digits, to_digits
@@ -158,6 +157,9 @@ def _parallel_map(worker, tasks, jobs: int | None):
     jobs = min(jobs or os.cpu_count() or 1, len(tasks))
     if jobs <= 1:
         return [worker(t) for t in tasks]
+    # imported here: a serial run never loads the multiprocessing machinery
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, tasks, chunksize=1))
 

@@ -1,10 +1,12 @@
 """Orbit analysis: trajectories, distance maps over the pair graph, and
 per-base convergence statistics.
 
-Two independent routes produce the same statistics.  For bases divisible
-by 5 the pair graph is walked backwards from the fixed pair and each pair
-is weighted by how many numerals carry it; for tiny bases (2 and 4) and as
-a validation mode, every integer orbit is enumerated outright.
+For bases divisible by 5 the pair graph is walked backwards from the
+fixed pair and each pair is weighted by how many numerals carry it.  For
+the tiny bases 2 and 4 (16 and 256 numerals) every integer orbit is run
+with :func:`trajectory`.  The numpy oracle in :mod:`kaprekar4.enumeration`
+is a third, independent route, run only on demand (``method="enumeration"``)
+and by the tests.
 """
 
 from __future__ import annotations
@@ -125,8 +127,8 @@ def pair_distance_map(b: int) -> PairDistanceMap:
     One guard step per reached pair: a candidate predecessor that is not
     canonical or does not step onto its target raises ``RuntimeError``.
     ``verify --depth deep`` checks the map against the forward pair step.
-    For bases 2 and 4 there is no fixed pair; use the enumeration route of
-    :func:`base_report` instead.
+    For bases 2 and 4 there is no fixed pair; :func:`base_report` runs
+    their integer orbits instead.
     """
     target = fixed_pair(b)
     steps: dict[Pair, int] = {target: 0}
@@ -184,8 +186,9 @@ class BaseReport:
     lie that many steps from a non-zero fixed numeral) and the fixed
     numerals; the maximum distance, the convergent count and the convergent
     fraction are derived from the histogram.  ``basin_sizes`` (fixed
-    numeral -> basin size) is filled by the enumeration route, for every
-    base it runs; only there can several fixed numerals coexist.
+    numeral -> basin size) is filled by both integer-orbit routes, the
+    orbit walk for bases 2 and 4 and the enumeration oracle, for every base
+    they run; only there can several fixed numerals coexist.
     """
 
     base: int
@@ -217,22 +220,38 @@ def _pairs_report(pdm: PairDistanceMap) -> BaseReport:
     return BaseReport(b, dict(sorted(hist.items())), [fixed_numeral_value(b)])
 
 
+def _orbit_report(b: int) -> BaseReport:
+    """BaseReport from the trajectory of every numeral; for bases 2 and 4."""
+    hist: dict[int, int] = {}
+    basins: dict[int, int] = {}
+    for v in range(b**4):
+        t = trajectory(to_digits(v, b))
+        if isinstance(t.terminal, FixedNumeral):
+            hist[t.distance] = hist.get(t.distance, 0) + 1
+            basins[t.terminal.value] = basins.get(t.terminal.value, 0) + 1
+    basins = dict(sorted(basins.items()))
+    return BaseReport(b, dict(sorted(hist.items())), list(basins), basins)
+
+
 def base_report(b: int, method: str = "auto") -> BaseReport:
     """Convergence statistics for one base.
 
     method:
-      - "auto": pair-weighted counting for multiples of 5, full enumeration
-        for bases 2 and 4, empty report for fixed-point-free bases.
+      - "auto": pair-weighted counting for multiples of 5, the trajectory of
+        every numeral for bases 2 and 4 (with basin sizes), empty report for
+        fixed-point-free bases.
       - "pairs": force the pair route (multiples of 5 only).
-      - "enumeration": force the brute-force integer route.
+      - "enumeration": force the brute-force numpy oracle.
     """
     check_base(b)
     if method not in ("auto", "pairs", "enumeration"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "enumeration" or (method == "auto" and b in (2, 4)):
+    if method == "enumeration":
         from .enumeration import convergence_report
 
         return convergence_report(b)
+    if method == "auto" and b in (2, 4):
+        return _orbit_report(b)
     if method == "pairs" or b % 5 == 0:
         return _pairs_report(pair_distance_map(b))
     return BaseReport(b, {}, [])

@@ -14,16 +14,13 @@ import numpy as np
 from kaprekar4.cli import main
 from kaprekar4.digits import join_digits, step_value, to_digits
 from kaprekar4.dynamics import (
-    Cycle,
     FixedNumeral,
-    ZeroSink,
     base_report,
     fixed_numeral_value,
     trajectory,
 )
 from kaprekar4.pairs import (
     PairType,
-    _code,
     _step_table,
     canonical_pairs,
     classify_pair,
@@ -39,13 +36,11 @@ from kaprekar4.predictions import (
     predict_max_distance,
 )
 from kaprekar4.tables import (
-    cell_step_bound,
-    cycle_cells,
     grid_arrival,
     landing_witnesses,
     max_total_steps,
 )
-from kaprekar4.verify import _on_cycle
+from kaprekar4.verify import _check_cycle_rows
 from oracles import full_step_table, oracle_preimages, pair_code_table
 
 
@@ -262,35 +257,14 @@ def test_criterion_12_total_step_table():
     problems = []
     for n in range(5, 9):
         b = 5 * 2**n
-        g = 2**n
-        table = _step_table(b)
         if max_total_steps(n) != predict_max_distance(b):
             problems.append(f"n={n}: column max {max_total_steps(n)}")
-        for cell in cycle_cells(n):
-            bracket = cell_step_bound(*cell, n).steps
-            if cell == (0, 0):
-                reps = [join_digits((1, 1, 1, 1), b), 2 * join_digits((1, 1, 1, 1), b)]
-            else:
-                starts = [(cell[0] * g, cell[1] * g)]
-                starts += [w.start for w in landing_witnesses(n) if w.cell == cell]
-                reps = [join_digits((d, dp, 0, 0), b) for d, dp in starts]
-            exact = cell != (0, 0) and not _on_cycle(_code((cell[0] * g, cell[1] * g)), table)
-            for value in reps:
-                t = trajectory(to_digits(value, b))
-                if cell == (0, 0):
-                    entry = len(t.states) - 1
-                    ok = isinstance(t.terminal, ZeroSink) and entry == bracket
-                elif not isinstance(t.terminal, Cycle) or t.terminal.period < 2:
-                    ok, entry = False, None
-                else:
-                    entry = t.terminal.entry_step
-                    ok = entry == bracket if exact else entry <= bracket
-                if not ok:
-                    problems.append(
-                        f"n={n} cell {cell}: start {value} entry {entry}, tabulated {bracket}"
-                    )
-                else:
-                    print(f"      n={n} cell {cell}: cycle entry {entry} (tabulated {bracket})")
+        # the harness's own check, shifted carriers included
+        check = _check_cycle_rows(b, n, _step_table(b))
+        if not check.passed:
+            problems.append(f"n={n}: {check.detail}")
+        else:
+            print(f"      n={n}: {check.detail}")
     _finish("12", "total-step table maxima and cycle rows (n=5..8)", 300.0, t0, problems)
 
 

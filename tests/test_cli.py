@@ -239,6 +239,8 @@ def test_sweep_jobs_parallel_identical(capsys, tmp_path):
 
 @pytest.mark.parametrize("jobs", [["--jobs", "5000"], []])
 def test_pool_has_at_most_one_worker_per_base(capsys, monkeypatch, jobs):
+    import concurrent.futures
+
     import kaprekar4.cli as cli_mod
 
     seen = []
@@ -259,7 +261,8 @@ def test_pool_has_at_most_one_worker_per_base(capsys, monkeypatch, jobs):
 
     argv = ["sweep", "--bases", "2..3", "--format", "csv"]
     _, serial, _ = run(capsys, *argv, "--jobs", "1")
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+    # _parallel_map imports the executor from concurrent.futures when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 64)
     code, out, _ = run(capsys, *argv, *jobs)
     assert code == 0
@@ -403,7 +406,9 @@ def test_internal_error_exit_4(capsys, monkeypatch):
     assert err.startswith("internal error: ") and "planted crash" in err
 
 
-def _run_probe(probe: str) -> list[str]:
+def _run_probe(probe: str, split: bool = True):
+    """Run ``probe`` in a fresh interpreter; its stdout, split into words
+    unless ``split`` is false."""
     import kaprekar4
 
     src = os.path.dirname(os.path.dirname(kaprekar4.__file__))
@@ -414,7 +419,7 @@ def _run_probe(probe: str) -> list[str]:
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    return result.stdout.split()
+    return result.stdout.split() if split else result.stdout
 
 
 _VERIFY_320_DEEP = (
@@ -425,15 +430,40 @@ _VERIFY_320_DEEP = (
 
 
 def test_cli_import_does_not_load_numpy():
-    # only the enumeration route needs numpy; every other command starts
-    # without it, and the deep checks run without it
+    # only method="enumeration" needs numpy: every command, bases 2 and 4
+    # included, runs without it, and so do the deep checks.  A serial run
+    # never loads the process-pool machinery either.
+    runs = [
+        ["sweep", "--bases", "2..200", "--metrics", "mb,cb", "--jobs", "1"],
+        ["histogram", "--base", "4"],
+        ["fixed-points", "--base", "2"],
+        ["verify", "--bases", "2..4", "--depth", "deep", "--jobs", "1"],
+    ]
     probe = (
         "import sys, kaprekar4.cli\n"
-        "print('numpy' in sys.modules)\n"
+        "pool = 'concurrent.futures.process'\n"
+        "print('numpy' in sys.modules, pool in sys.modules)\n"
         + _VERIFY_320_DEEP
-        + "print(code, 'numpy' in sys.modules)\n"
+        + "print(code, 'numpy' in sys.modules, pool in sys.modules)\n"
+        f"for argv in {runs!r}:\n"
+        "    code = kaprekar4.cli.main([*argv, '--out', os.devnull])\n"
+        "    print(code, 'numpy' in sys.modules)\n"
     )
-    assert _run_probe(probe) == ["False", "0", "False"]
+    assert _run_probe(probe) == ["False", "False", "0", "False", "False"] + ["0", "False"] * 4
+
+
+def test_sweep_real_pool_matches_serial():
+    # the goldens all run --jobs 1; this one starts a real two-worker pool
+    argv = ["sweep", "--bases", "2..60", "--metrics", "mb,cb,sbsize,fixedpoints",
+            "--format", "csv"]
+    outs = [
+        _run_probe("import kaprekar4.cli\n"
+                   f"raise SystemExit(kaprekar4.cli.main({[*argv, '--jobs', jobs]!r}))\n",
+                   split=False)
+        for jobs in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("b,m,n,")
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")

@@ -8,6 +8,7 @@ from kaprekar4.dynamics import (
     FixedNumeral,
     UndeterminedOrbitError,
     ZeroSink,
+    _orbit_report,
     base_report,
     fixed_numeral_value,
     integer_distance,
@@ -15,7 +16,13 @@ from kaprekar4.dynamics import (
     trajectory,
 )
 from kaprekar4.pairs import canonical_pairs, pair_count, step_pair
-from oracles import oracle_distance, oracle_pair_distances, oracle_step, zero_orbit_values
+from oracles import (
+    full_report,
+    oracle_distance,
+    oracle_pair_distances,
+    oracle_step,
+    zero_orbit_values,
+)
 
 
 def test_worked_chain_from_0889():
@@ -191,6 +198,21 @@ def test_base_report_2_and_4():
     assert rep4.histogram == {0: 1, 1: 47, 2: 24, 3: 12}
 
 
+def test_orbit_report_matches_both_oracles():
+    from kaprekar4.enumeration import convergence_report
+
+    # field by field, and in the key order the numpy oracle gives
+    for b in range(2, 13):
+        via_orbits = _orbit_report(b)
+        for other in (convergence_report(b), full_report(b)):
+            assert via_orbits.base == other.base, b
+            assert via_orbits.histogram == other.histogram, b
+            assert list(via_orbits.histogram) == list(other.histogram), b
+            assert via_orbits.fixed_numerals == other.fixed_numerals, b
+            assert via_orbits.basin_sizes == other.basin_sizes, b
+            assert list(via_orbits.basin_sizes) == list(other.basin_sizes), b
+
+
 def test_base_report_no_fixed_point():
     rep = base_report(6)
     assert rep.max_distance is None
@@ -212,6 +234,9 @@ def test_base_report_methods_agree():
         assert via_pairs.fixed_numerals == via_enum.fixed_numerals, b
         (fixed,) = via_enum.fixed_numerals
         assert via_enum.basin_sizes == {fixed: via_enum.convergent_count}, b
+    # bases 2 and 4: the orbit walk of "auto" against the numpy oracle
+    for b in (2, 4):
+        assert base_report(b) == base_report(b, method="enumeration"), b
     with pytest.raises(ValueError):
         base_report(7, method="pairs")
     with pytest.raises(ValueError):
