@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .digits import DigitQuad, Digits, check_base, join_digits, to_digits
@@ -372,15 +373,10 @@ def _verify_worker(task: tuple[int, str]) -> dict:
     b, depth = task
     r = verify_base(b, depth)
     return {
-        "base": r.base,
-        "predicted_max_distance": r.predicted_max_distance,
-        "measured_max_distance": r.measured_max_distance,
-        "max_distance_verdict": r.max_distance_verdict,
+        **asdict(r),
         "predicted_fraction": fmt_fraction(r.predicted_fraction),
         "measured_fraction": fmt_fraction(r.measured_fraction),
-        "fraction_verdict": r.fraction_verdict,
         "all_match": r.all_match,
-        "checks": [{"label": c.label, "passed": c.passed, "detail": c.detail} for c in r.checks],
     }
 
 

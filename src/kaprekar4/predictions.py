@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .digits import DigitQuad, check_base, step_value
 from .pairs import Pair, step_pair
+from .tables import _check_cell
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,7 @@ _LANDING_BOUND_2N2 = {(1, 0), (2, 1), (3, 2), (4, 3)}
 
 def landing_bound(p: int, q: int, n: int) -> int:
     """Upper bound on the steps needed before first hitting grid cell (p, q)."""
-    if not 0 <= q <= p <= 4:
-        raise ValueError(f"({p}, {q}) is not a canonical grid cell")
+    _check_cell(p, q)
     if p == q or (p, q) == (3, 1):
         return 0
     if (p, q) in _LANDING_BOUND_N:

@@ -36,6 +36,11 @@ _ARRIVAL_GRID: dict[Cell, tuple[Cell, Cell, Cell, Cell]] = {
 _ONE_STEP_TO_FIXED: frozenset[Cell] = frozenset({(2, 1), (3, 1), (4, 2), (4, 3)})
 
 
+def _check_cell(p: int, q: int) -> None:
+    if not 0 <= q <= p <= 4:
+        raise ValueError(f"({p}, {q}) is not a canonical grid cell")
+
+
 @dataclass(frozen=True)
 class GridArrival:
     steps: int
@@ -44,8 +49,7 @@ class GridArrival:
 
 def grid_arrival(p: int, q: int, n: int) -> GridArrival:
     """Tabulated pair reached from g*(p, q), with the step count."""
-    if not 0 <= q <= p <= 4:
-        raise ValueError(f"({p}, {q}) is not a canonical grid cell")
+    _check_cell(p, q)
     if (p, q) == (0, 0):
         return GridArrival(steps=1, cell=(0, 0))
     if (p, q) in _ONE_STEP_TO_FIXED:
@@ -146,8 +150,7 @@ _CELL_BOUND_ROWS: dict[Cell, tuple[tuple[int, int, bool], ...]] = {
 
 
 def cell_step_bound(p: int, q: int, n: int) -> CellBound:
-    if not 0 <= q <= p <= 4:
-        raise ValueError(f"({p}, {q}) is not a canonical grid cell")
+    _check_cell(p, q)
     a, c, cycles = _CELL_BOUND_ROWS[(p, q)][n % 4]
     return CellBound(steps=a * n + c, cycles=cycles)
 

@@ -79,6 +79,12 @@ class Check:
 
 @dataclass
 class PredictionReport:
+    """One base's predictions against its measurements.
+
+    The fields are the keys of a report in ``verify --format json``, with
+    the fractions rendered as ``p/q`` and ``all_match`` added.
+    """
+
     base: int
     predicted_max_distance: int | None
     measured_max_distance: int | None
@@ -106,6 +112,11 @@ def _verdict(predicted, measured) -> str:
 # ---------------------------------------------------------------------------
 # Deep checks
 # ---------------------------------------------------------------------------
+
+
+def _offenders(label: str, what: str, offenders: list) -> Check:
+    """Passes when ``offenders`` is empty; otherwise lists them after ``what``."""
+    return Check(label, not offenders, f"{what} {offenders}" if offenders else "")
 
 
 def _pair_numerals(pair: Pair, b: int):
@@ -190,47 +201,30 @@ def _h_set(pair: Pair, b: int) -> frozenset[Pair]:
 def _basin_structure_checks(b: int, m: int, n: int, pdm: PairDistanceMap) -> list[Check]:
     """Structural claims about the fixed pair's predecessor closure, m > 1."""
     closure = set(pdm.steps)
-    checks = []
-
-    bad_type = [p for p in closure if classify_pair(p, b) is not PairType.A]
-    checks.append(
-        Check(
-            "basin-pairs-type-a",
-            not bad_type,
-            "" if not bad_type else f"non-(a) pairs {sorted(bad_type)[:4]}",
-        )
-    )
-    bad_mult = [p for p in closure if p[0] % m or p[1] % m]
-    checks.append(
-        Check(
-            "basin-coordinates-multiples",
-            not bad_mult,
-            "" if not bad_mult else f"coords not multiples of {m}: {sorted(bad_mult)[:4]}",
-        )
-    )
+    bad_type = sorted(p for p in closure if classify_pair(p, b) is not PairType.A)
+    bad_mult = sorted(p for p in closure if p[0] % m or p[1] % m)
     expected = 4 ** (n + 1)
-    checks.append(
+    checks = [
+        _offenders("basin-pairs-type-a", "non-(a) pairs", bad_type[:4]),
+        _offenders("basin-coordinates-multiples", f"coords not multiples of {m}:", bad_mult[:4]),
         Check(
             "basin-pair-count",
             len(closure) == expected,
             f"{len(closure)} pairs, expected {expected}",
-        )
-    )
+        ),
+    ]
 
     families = {_h_set(p, b) for p in closure}
     covered: set[Pair] = set()
-    ok = True
     detail = ""
     for fam in families:
         if len(fam) != 4 or not fam <= closure or fam & covered:
-            ok = False
             detail = f"family {sorted(fam)} breaks the partition"
             break
         covered |= fam
-    if ok and covered != closure:
-        ok = False
+    if not detail and covered != closure:
         detail = "families do not cover the closure"
-    checks.append(Check("basin-four-families", ok, detail))
+    checks.append(Check("basin-four-families", not detail, detail))
     return checks
 
 
@@ -293,13 +287,7 @@ def _grid_checks(b: int, n: int, table: array) -> list[Check]:
         if s > bound[k]:
             over.append(_pair_at(c))
         worst[k] = max(worst[k], s)
-    checks.append(
-        Check(
-            "landing-bounds",
-            not over,
-            "" if not over else f"bound exceeded from {over[:4]}",
-        )
-    )
+    checks.append(_offenders("landing-bounds", "bound exceeded from", over[:4]))
 
     # arrival table: iterate each grid cell the stated number of steps
     detail = ""
@@ -323,26 +311,18 @@ def _grid_checks(b: int, n: int, table: array) -> list[Check]:
         return checks
 
     # tightness: witness rows, per-cell attainment, column maxima, cycle rows
-    ok = True
     detail = ""
     for w in landing_witnesses(n):
         landing = grid_landing(w.start, b)
         if (landing.steps, landing.cell) != (w.steps, w.cell):
-            ok = False
             detail = f"start {w.start}: measured {landing}, stated ({w.steps}, {w.cell})"
             break
-    checks.append(Check("landing-witnesses", ok, detail))
+    checks.append(Check("landing-witnesses", not detail, detail))
 
     unattained = [
         cell for cell, w, bd in zip(cell_pairs, worst, bound) if w >= 0 and w != bd
     ]
-    checks.append(
-        Check(
-            "landing-attainment",
-            not unattained,
-            "" if not unattained else f"bound not attained for cells {unattained}",
-        )
-    )
+    checks.append(_offenders("landing-attainment", "bound not attained for cells", unattained))
 
     predicted = predict_max_distance(b)
     column_max = max_total_steps(n)

@@ -466,6 +466,19 @@ def test_sweep_real_pool_matches_serial():
     assert outs[0].startswith("b,m,n,")
 
 
+def test_verify_real_pool_matches_serial():
+    # the deep checks run in the workers and come back as JSON rows
+    argv = ["verify", "--bases", "2..40", "--depth", "deep", "--format", "json"]
+    outs = [
+        _run_probe("import kaprekar4.cli\n"
+                   f"raise SystemExit(kaprekar4.cli.main({[*argv, '--jobs', jobs]!r}))\n",
+                   split=False)
+        for jobs in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["all_match"]
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
 def test_verify_deep_memory_bounded_at_base_320():
     # VmHWM is the peak RSS of the child's own image; ru_maxrss would carry

@@ -1,8 +1,10 @@
+import json
 import os
 import re
 import subprocess
 import sys
 from collections import Counter
+from importlib.resources import files
 from math import factorial, prod
 
 import numpy as np
@@ -291,6 +293,10 @@ def test_result_fields_are_pinned():
         "base", "predicted_max_distance", "measured_max_distance", "max_distance_verdict",
         "predicted_fraction", "measured_fraction", "fraction_verdict", "checks",
     ]
+    # a verify JSON report is a PredictionReport's fields plus all_match
+    schema = json.loads(files("kaprekar4.schemas").joinpath("verify.schema.json").read_text())
+    required = schema["properties"]["reports"]["items"]["required"]
+    assert sorted([*stored(PredictionReport), "all_match"]) == sorted(required)
 
 
 # ---------------------------------------------------------------------------

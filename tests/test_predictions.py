@@ -206,6 +206,15 @@ def test_cell_step_bound_entries():
     assert cell_step_bound(0, 0, 5).cycles
 
 
+@pytest.mark.parametrize("fn", [landing_bound, grid_arrival, cell_step_bound])
+@pytest.mark.parametrize("p, q", [(5, 0), (1, 2), (-1, 0)])
+def test_non_cells_are_rejected(fn, p, q):
+    # every per-cell lookup shares one guard: 0 <= q <= p <= 4
+    with pytest.raises(ValueError) as exc:
+        fn(p, q, 3)
+    assert str(exc.value) == f"({p}, {q}) is not a canonical grid cell"
+
+
 def test_max_total_steps_matches_prediction():
     for n in range(5, 9):
         assert max_total_steps(n) == predict_max_distance(5 * 2**n), n

@@ -131,6 +131,50 @@ def test_wrong_distance_map_fails_predecessor_inversion(monkeypatch, capsys, cor
     capsys.readouterr()
 
 
+def _check(rep, label):
+    (check,) = [c for c in rep.checks if c.label == label]
+    return check
+
+
+@pytest.mark.parametrize(
+    "planted, failing, detail",
+    [
+        ((4, 4), "basin-pairs-type-a", "non-(a) pairs [(4, 4)]"),
+        ((7, 2), "basin-coordinates-multiples", "coords not multiples of 3: [(7, 2)]"),
+    ],
+)
+def test_planted_pair_fails_basin_check(monkeypatch, planted, failing, detail):
+    # b = 60 has m = 3: every pair in the fixed pair's closure is of type (a)
+    # and has both coordinates divisible by 3
+    _break_distance_map(monkeypatch, lambda steps: steps.setdefault(planted, 1))
+    rep = verify_base(60, "deep")
+    check = _check(rep, failing)
+    assert (check.passed, check.detail) == (False, detail)
+    if planted == (7, 2):
+        assert _check(rep, "basin-pairs-type-a").passed
+
+
+@pytest.mark.parametrize(
+    "shift, label, detail",
+    [
+        (-1, "landing-bounds", "bound exceeded from [(0, 0), (4, 1), (5, 1), (5, 2)]"),
+        (
+            1,
+            "landing-attainment",
+            "bound not attained for cells [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2),"
+            " (3, 0), (3, 1), (3, 2), (3, 3), (4, 0), (4, 1), (4, 2), (4, 3), (4, 4)]",
+        ),
+    ],
+)
+def test_shifted_landing_bound_fails(monkeypatch, shift, label, detail):
+    # a bound one too low is exceeded (the first four offenders are listed);
+    # one too high is attained by no cell, and all fifteen are listed
+    real = verify_mod.landing_bound
+    monkeypatch.setattr(verify_mod, "landing_bound", lambda p, q, n: real(p, q, n) + shift)
+    check = _check(verify_base(160, "deep"), label)
+    assert (check.passed, check.detail) == (False, detail)
+
+
 @pytest.mark.parametrize("b", [15, 20, 60, 160])
 def test_one_distance_map_per_deep_verify(monkeypatch, b):
     import kaprekar4.dynamics as dynamics_mod
