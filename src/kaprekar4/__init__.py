@@ -49,7 +49,6 @@ from .predictions import (
     predict_max_distance,
 )
 from .tables import (
-    CellBound,
     GridArrival,
     LandingWitness,
     cell_step_bound,

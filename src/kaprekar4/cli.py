@@ -41,7 +41,7 @@ from .predictions import (
     predict_convergent_fraction,
     predict_max_distance,
 )
-from .verify import NOT_PREDICTED, verify_base
+from .verify import DEPTHS, NOT_PREDICTED, verify_base
 
 # CSV columns: the keys of a JSON row, in order
 SWEEP_COLUMNS = (
@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="compare predictions against measurements")
     p.add_argument("--bases", type=str, required=True, help="range LO..HI")
-    p.add_argument("--depth", choices=("formulas", "deep"), default="formulas")
+    p.add_argument("--depth", choices=DEPTHS, default="formulas")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--jobs", type=int, default=None)

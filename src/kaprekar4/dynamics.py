@@ -185,16 +185,12 @@ class BaseReport:
     A report stores the distance histogram (distance -> how many numerals
     lie that many steps from a non-zero fixed numeral) and the fixed
     numerals; the maximum distance, the convergent count and the convergent
-    fraction are derived from the histogram.  ``basin_sizes`` (fixed
-    numeral -> basin size) is filled by both integer-orbit routes, the
-    orbit walk for bases 2 and 4 and the enumeration oracle, for every base
-    they run; only there can several fixed numerals coexist.
+    fraction are derived from the histogram.
     """
 
     base: int
     histogram: dict[int, int]
     fixed_numerals: list[int]
-    basin_sizes: dict[int, int] | None = None
 
     @property
     def max_distance(self) -> int | None:
@@ -223,14 +219,13 @@ def _pairs_report(pdm: PairDistanceMap) -> BaseReport:
 def _orbit_report(b: int) -> BaseReport:
     """BaseReport from the trajectory of every numeral; for bases 2 and 4."""
     hist: dict[int, int] = {}
-    basins: dict[int, int] = {}
+    fixed: set[int] = set()
     for v in range(b**4):
         t = trajectory(to_digits(v, b))
         if isinstance(t.terminal, FixedNumeral):
             hist[t.distance] = hist.get(t.distance, 0) + 1
-            basins[t.terminal.value] = basins.get(t.terminal.value, 0) + 1
-    basins = dict(sorted(basins.items()))
-    return BaseReport(b, dict(sorted(hist.items())), list(basins), basins)
+            fixed.add(t.terminal.value)
+    return BaseReport(b, dict(sorted(hist.items())), sorted(fixed))
 
 
 def base_report(b: int, method: str = "auto") -> BaseReport:
@@ -238,8 +233,8 @@ def base_report(b: int, method: str = "auto") -> BaseReport:
 
     method:
       - "auto": pair-weighted counting for multiples of 5, the trajectory of
-        every numeral for bases 2 and 4 (with basin sizes), empty report for
-        fixed-point-free bases.
+        every numeral for bases 2 and 4, empty report for fixed-point-free
+        bases.
       - "pairs": force the pair route (multiples of 5 only).
       - "enumeration": force the brute-force numpy oracle.
     """

@@ -5,8 +5,8 @@ reduction: every value in [0, b^4) is expanded into digit columns, sorted by
 a comparator network and stepped as descending minus ascending.  The values
 are streamed in fixed chunks and only their distinct images are kept, with
 how many values map to each, so memory is O(b^2 + chunk) while time stays
-O(b^4).  Distances and basins are solved on that image set, which the step
-maps into itself; a value's distance is one more than its image's.
+O(b^4).  Distances are solved on that image set, which the step maps into
+itself; a value's distance is one more than its image's.
 """
 
 from __future__ import annotations
@@ -89,12 +89,11 @@ def step_table(b: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def distance_table(b: int):
-    """(images, counts, distances, fixed values, basin roots) on the image set.
+    """(images, counts, distances, fixed values) on the image set.
 
     ``images`` and ``counts`` are :func:`step_table`'s.  ``distances[i]`` is
     the number of steps from ``images[i]`` to a non-zero fixed numeral, -1
     when its orbit never reaches one (the zero sink and genuine cycles).
-    ``roots[i]`` is the fixed numeral reached, -1 where the distance is.
     """
     images, counts = step_table(b)
     nxt = _step(images, b)
@@ -106,16 +105,13 @@ def distance_table(b: int):
 
     dist = np.full(images.size, -1, dtype=np.int64)
     dist[fixed] = 0
-    root = np.full(images.size, -1, dtype=np.int64)
-    root[fixed] = fixed_values
     while True:
         nd = dist[succ]
         mask = (dist < 0) & (nd >= 0)
         if not mask.any():
             break
         dist[mask] = nd[mask] + 1
-        root[mask] = root[succ[mask]]
-    return images, counts, dist, fixed_values, root
+    return images, counts, dist, fixed_values
 
 
 def convergence_report(b: int) -> BaseReport:
@@ -124,15 +120,11 @@ def convergence_report(b: int) -> BaseReport:
     A value whose image y converges lies dist(y) + 1 steps out, except a
     fixed numeral itself, which is its own image and lies 0 steps out.
     """
-    images, counts, dist, fixed_values, root = distance_table(b)
+    images, counts, dist, fixed_values = distance_table(b)
     converged = dist >= 0
     hist = np.zeros(images.size + 1, dtype=np.int64)
     np.add.at(hist, dist[converged] + 1, counts[converged])
     hist[1] -= fixed_values.size
     hist[0] += fixed_values.size
-    return BaseReport(
-        b,
-        {int(i): int(hist[i]) for i in np.flatnonzero(hist)},
-        [int(v) for v in fixed_values],
-        {int(v): int(counts[root == v].sum()) for v in fixed_values},
-    )
+    histogram = {int(i): int(hist[i]) for i in np.flatnonzero(hist)}
+    return BaseReport(b, histogram, [int(v) for v in fixed_values])

@@ -3,7 +3,9 @@
 These grids are embedded as constants, keyed by grid cell and by n mod 4,
 and verified computationally by the test suite and :mod:`.verify`.  They are
 never used as the computation itself, so a transcription slip shows up as a
-mismatch against measurement instead of silently steering results.
+mismatch against measurement instead of silently steering results.  Each
+non-cycle total-step entry is checked cell by cell, against every pair that
+first lands on that cell.
 
 Grid cells: a pair with both coordinates divisible by g = b/5 is written
 g*(p, q) and identified with the cell (p, q), 0 <= q <= p <= 4.
@@ -112,20 +114,6 @@ def landing_witnesses(n: int) -> list[LandingWitness]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CellBound:
-    """Bound on total steps from any start whose first grid cell is this one.
-
-    ``cycles`` marks rows whose orbit never reaches the fixed numeral; there
-    ``steps`` bounds the step count to the first periodic value instead.  The
-    column maxima over non-cycle rows are attained (they equal the worst-case
-    distance) once n >= 5.
-    """
-
-    steps: int
-    cycles: bool
-
-
 def _lin(a: int, c: int, cycles: bool = False):
     return (a, c, cycles)
 
@@ -136,7 +124,10 @@ _CELL_BOUND_ROWS: dict[Cell, tuple[tuple[int, int, bool], ...]] = {
     (4, 3): (_lin(2, 4), _lin(2, 4), _lin(2, 4), _lin(2, 4)),
     (1, 0): (_lin(2, 3, True), _lin(3, 5), _lin(3, 5), _lin(4, 6)),
     (2, 0): (_lin(3, 3), _lin(3, 3), _lin(2, 1, True), _lin(5, 5)),
-    (3, 0): (_lin(3, 4), _lin(3, 4), _lin(2, 3), _lin(2, 3)),
+    # n = 0 (mod 4): once transcribed 3n+4, corrected against measurement to
+    # 4n+5 = n landing steps, 3(n+1) along (3,0)->(3,2)->(2,0)->(4,3), one
+    # pair step to the fixed pair and one integer step
+    (3, 0): (_lin(4, 5), _lin(3, 4), _lin(2, 3), _lin(2, 3)),
     (4, 0): (_lin(2, 3), _lin(3, 4), _lin(3, 4), _lin(2, 3)),
     (4, 1): (_lin(2, 3), _lin(3, 4), _lin(2, 3), _lin(5, 6)),
     (1, 1): (_lin(1, 3), _lin(2, 4), _lin(1, 3), _lin(4, 6)),
@@ -149,10 +140,17 @@ _CELL_BOUND_ROWS: dict[Cell, tuple[tuple[int, int, bool], ...]] = {
 }
 
 
-def cell_step_bound(p: int, q: int, n: int) -> CellBound:
+def cell_step_bound(p: int, q: int, n: int) -> int:
+    """Bound on total steps from any start whose first grid cell is (p, q).
+
+    For a cycle cell (see :func:`cycle_cells`), whose orbits never reach the
+    fixed numeral, it bounds the steps to the first periodic value instead.
+    The column maxima over non-cycle cells are attained (they equal the
+    worst-case distance) once n >= 5.
+    """
     _check_cell(p, q)
-    a, c, cycles = _CELL_BOUND_ROWS[(p, q)][n % 4]
-    return CellBound(steps=a * n + c, cycles=cycles)
+    a, c, _ = _CELL_BOUND_ROWS[(p, q)][n % 4]
+    return a * n + c
 
 
 def max_total_steps(n: int) -> int:

@@ -384,23 +384,23 @@ def _check_cycle_rows(b: int, n: int, table: array) -> Check:
         for value in _cycle_row_representatives(cell, b, n):
             t = trajectory(to_digits(value, b))
             if cell == (0, 0):
-                ok = isinstance(t.terminal, ZeroSink) and len(t.states) - 1 == bound.steps
+                ok = isinstance(t.terminal, ZeroSink) and len(t.states) - 1 == bound
                 entries.append(len(t.states) - 1)
             else:
                 ok = isinstance(t.terminal, Cycle) and t.terminal.period >= 2
                 if ok:
                     entries.append(t.terminal.entry_step)
                     if exact:
-                        ok = t.terminal.entry_step == bound.steps
+                        ok = t.terminal.entry_step == bound
                     else:
-                        ok = t.terminal.entry_step <= bound.steps
+                        ok = t.terminal.entry_step <= bound
             if not ok:
                 return Check(
                     "cycle-rows",
                     False,
-                    f"cell {cell}: start {value} gives {t.terminal}, tabulated {bound.steps}",
+                    f"cell {cell}: start {value} gives {t.terminal}, tabulated {bound}",
                 )
-        details.append(f"{cell}: entries {sorted(set(entries))} within {bound.steps}")
+        details.append(f"{cell}: entries {sorted(set(entries))} within {bound}")
     return Check("cycle-rows", True, "; ".join(details))
 
 

@@ -159,7 +159,7 @@ def pair_code_table(b: int) -> np.ndarray:
 
 
 def full_distance_table(b: int):
-    """(distances, fixed values, basin roots) for every value of [0, b^4).
+    """(distances, fixed values) for every value of [0, b^4).
 
     Distance -1 marks orbits that never reach a non-zero fixed numeral.
     """
@@ -170,27 +170,23 @@ def full_distance_table(b: int):
 
     dist = np.full(k.size, -1, dtype=np.int32)
     dist[fixed_values] = 0
-    root = np.full(k.size, -1, dtype=np.int32)
-    root[fixed_values] = fixed_values
     while True:
         nd = dist[k]
         mask = (dist < 0) & (nd >= 0)
         if not mask.any():
             break
         dist[mask] = nd[mask] + 1
-        root[mask] = root[k[mask]]
-    return dist, fixed_values, root
+    return dist, fixed_values
 
 
 def full_report(b: int) -> BaseReport:
     """The BaseReport of base ``b`` counted value by value."""
-    dist, fixed_values, root = full_distance_table(b)
+    dist, fixed_values = full_distance_table(b)
     counts = np.bincount(dist[dist >= 0])
     return BaseReport(
         base=b,
         histogram={i: int(c) for i, c in enumerate(counts) if c},
         fixed_numerals=[int(v) for v in fixed_values],
-        basin_sizes={int(v): int((root == v).sum()) for v in fixed_values},
     )
 
 

@@ -188,13 +188,11 @@ def test_base_report_2_and_4():
     assert rep2.max_distance == 1
     assert rep2.convergent_count == 14 == 2**4 - 2
     assert rep2.fixed_numerals == [7, 9]
-    assert rep2.basin_sizes == {7: 8, 9: 6}
 
     rep4 = base_report(4)
     assert rep4.max_distance == 3
     assert rep4.convergent_count == 84
     assert rep4.fixed_numerals == [201]
-    assert rep4.basin_sizes == {201: 84}
     assert rep4.histogram == {0: 1, 1: 47, 2: 24, 3: 12}
 
 
@@ -209,8 +207,6 @@ def test_orbit_report_matches_both_oracles():
             assert via_orbits.histogram == other.histogram, b
             assert list(via_orbits.histogram) == list(other.histogram), b
             assert via_orbits.fixed_numerals == other.fixed_numerals, b
-            assert via_orbits.basin_sizes == other.basin_sizes, b
-            assert list(via_orbits.basin_sizes) == list(other.basin_sizes), b
 
 
 def test_base_report_no_fixed_point():
@@ -232,8 +228,6 @@ def test_base_report_methods_agree():
         assert via_pairs.convergent_fraction == via_enum.convergent_fraction, b
         assert via_pairs.histogram == via_enum.histogram, b
         assert via_pairs.fixed_numerals == via_enum.fixed_numerals, b
-        (fixed,) = via_enum.fixed_numerals
-        assert via_enum.basin_sizes == {fixed: via_enum.convergent_count}, b
     # bases 2 and 4: the orbit walk of "auto" against the numpy oracle
     for b in (2, 4):
         assert base_report(b) == base_report(b, method="enumeration"), b
@@ -291,10 +285,7 @@ def test_cycles_only_where_expected():
         (40, False),
     )
     for b, expect_cycles in cases:
-        _, counts, dist, fixed_values, root = distance_table(b)
-        # a value has a root exactly when it has a distance, and the root is fixed
-        assert ((root == -1) == (dist == -1)).all(), b
-        assert set(root[dist >= 0].tolist()) <= set(fixed_values.tolist()), b
+        _, counts, dist, _ = distance_table(b)
         # a value stays out exactly when its image does
         unresolved = int(counts[dist < 0].sum()) - len(zero_orbit_values(b))
         assert (unresolved > 0) == expect_cycles, b

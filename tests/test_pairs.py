@@ -256,7 +256,7 @@ PUBLIC = {
     "fixed_point_digits", "grid_landing", "landing_bound", "predict_convergent_fraction",
     "predict_max_distance",
     # tables
-    "CellBound", "GridArrival", "LandingWitness", "cell_step_bound", "cycle_cells",
+    "GridArrival", "LandingWitness", "cell_step_bound", "cycle_cells",
     "grid_arrival", "landing_witnesses", "max_total_steps",
     # verify
     "Check", "PredictionReport", "verify_base",
@@ -275,7 +275,7 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC
-    assert len(PUBLIC) == 46
+    assert len(PUBLIC) == 45
 
 
 def test_result_fields_are_pinned():
@@ -287,7 +287,7 @@ def test_result_fields_are_pinned():
     def stored(cls):
         return [f.name for f in fields(cls)]
 
-    assert stored(BaseReport) == ["base", "histogram", "fixed_numerals", "basin_sizes"]
+    assert stored(BaseReport) == ["base", "histogram", "fixed_numerals"]
     assert stored(Trajectory) == ["states", "terminal", "distance"]
     assert stored(PredictionReport) == [
         "base", "predicted_max_distance", "measured_max_distance", "max_distance_verdict",

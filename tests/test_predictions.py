@@ -200,10 +200,12 @@ def test_grid_arrival_matches_iteration():
 
 
 def test_cell_step_bound_entries():
-    assert (cell_step_bound(4, 1, 7).steps, cell_step_bound(4, 1, 7).cycles) == (41, False)
-    assert (cell_step_bound(2, 0, 6).steps, cell_step_bound(2, 0, 6).cycles) == (13, True)
-    assert cell_step_bound(3, 1, 8).steps == 1
-    assert cell_step_bound(0, 0, 5).cycles
+    assert (cell_step_bound(4, 1, 7), (4, 1) in cycle_cells(7)) == (41, False)
+    assert (cell_step_bound(2, 0, 6), (2, 0) in cycle_cells(6)) == (13, True)
+    assert cell_step_bound(3, 1, 8) == 1
+    assert (0, 0) in cycle_cells(5)
+    # n = 0 (mod 4): 4n+5, as measured
+    assert [cell_step_bound(3, 0, n) for n in (4, 8)] == [21, 37]
 
 
 @pytest.mark.parametrize("fn", [landing_bound, grid_arrival, cell_step_bound])
@@ -216,7 +218,7 @@ def test_non_cells_are_rejected(fn, p, q):
 
 
 def test_max_total_steps_matches_prediction():
-    for n in range(5, 9):
+    for n in range(3, 14):
         assert max_total_steps(n) == predict_max_distance(5 * 2**n), n
 
 

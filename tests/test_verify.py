@@ -6,6 +6,7 @@ import kaprekar4.verify as verify_mod
 from kaprekar4.dynamics import pair_distance_map
 from kaprekar4.pairs import _code, _pair_at, _step_table, canonical_pairs, step_pair
 from kaprekar4.predictions import grid_exponent, grid_landing
+from kaprekar4.tables import cell_step_bound, cycle_cells
 from kaprekar4.verify import MATCH, MISMATCH, NOT_PREDICTED, Check, verify_base
 
 
@@ -332,3 +333,24 @@ def test_landing_memo_keeps_the_budget():
         else:
             with pytest.raises(RuntimeError, match="found no grid pair"):
                 verify_mod._grid_landings(b, n, chained)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_every_cell_bound_holds_cell_by_cell(n):
+    # each pair is judged by the first grid cell its orbit lands on
+    b = 5 * 2**n
+    pdm = pair_distance_map(b)
+    _, cells = verify_mod._grid_landings(b, n, _step_table(b))
+    cycles = set(cycle_cells(n))
+    worst: dict = {}
+    for c, p in enumerate(canonical_pairs(b)):
+        cell = _pair_at(cells[c])
+        if cell in cycles:
+            assert p not in pdm.steps, (p, cell)
+            continue
+        total = pdm.steps[p] + 1  # the integer distance of a carrier of p
+        assert total <= cell_step_bound(*cell, n), (p, cell, total)
+        worst[cell] = max(worst.get(cell, 0), total)
+    if n >= 4:
+        non_cycle = {_pair_at(k) for k in range(15)} - cycles
+        assert worst == {cell: cell_step_bound(*cell, n) for cell in non_cycle}
