@@ -44,7 +44,6 @@ from .predictions import (
     classify_base,
     fixed_point_digits,
     grid_landing,
-    landing_bound,
     predict_convergent_fraction,
     predict_max_distance,
 )
@@ -54,6 +53,7 @@ from .tables import (
     cell_step_bound,
     cycle_cells,
     grid_arrival,
+    landing_bound,
     landing_witnesses,
     max_total_steps,
 )

@@ -170,14 +170,11 @@ def _parallel_map(worker, tasks, jobs: int | None):
 # ---------------------------------------------------------------------------
 
 
+_TERMINAL_KINDS = {FixedNumeral: "fixed-point", ZeroSink: "zero-sink", Cycle: "cycle"}
+
+
 def _terminal_json(term) -> dict:
-    if isinstance(term, FixedNumeral):
-        return {"kind": "fixed-point", "value": term.value}
-    if isinstance(term, ZeroSink):
-        return {"kind": "zero-sink"}
-    if not isinstance(term, Cycle):
-        raise TypeError(f"unknown terminal {term!r}")
-    return {"kind": "cycle", "period": term.period, "entry_step": term.entry_step}
+    return {"kind": _TERMINAL_KINDS[type(term)], **asdict(term)}
 
 
 def _trajectory_text(payload: dict) -> str:

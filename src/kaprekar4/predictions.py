@@ -1,8 +1,10 @@
 """Closed-form predictions: which bases have a fixed numeral, its digits,
 the worst-case distance, and the convergent fraction.
 
-Everything here is a predictor.  Measurements live in :mod:`.dynamics`; the
-two sides are compared by :mod:`.verify` and the test suite, never merged.
+Everything here is a predictor but :func:`grid_landing`, the plain walker
+the test suite checks :mod:`.verify`'s landing memo with.  Measurements live
+in :mod:`.dynamics`; the two sides are compared by :mod:`.verify` and the
+test suite, never merged.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from fractions import Fraction
 
 from .digits import DigitQuad, check_base, step_value
 from .pairs import Pair, step_pair
-from .tables import _check_cell
 
 
 @dataclass(frozen=True)
@@ -104,26 +105,7 @@ def predict_convergent_fraction(b: int) -> Fraction | None:
 #
 # For b = 5 * 2^n every pair orbit reaches a pair whose coordinates are both
 # multiples of g = b/5 = 2^n; such pairs are written g*(p, q) with
-# 0 <= q <= p <= 4 and called grid cells below.  The number of steps until
-# the first grid pair is bounded per cell.
-
-_LANDING_BOUND_N = {(4, 1), (3, 0), (4, 0)}
-_LANDING_BOUND_2N = {(4, 2), (2, 0)}
-_LANDING_BOUND_2N2 = {(1, 0), (2, 1), (3, 2), (4, 3)}
-
-
-def landing_bound(p: int, q: int, n: int) -> int:
-    """Upper bound on the steps needed before first hitting grid cell (p, q)."""
-    _check_cell(p, q)
-    if p == q or (p, q) == (3, 1):
-        return 0
-    if (p, q) in _LANDING_BOUND_N:
-        return n
-    if (p, q) in _LANDING_BOUND_2N:
-        return 2 * n
-    if (p, q) not in _LANDING_BOUND_2N2:
-        raise RuntimeError(f"grid cell ({p}, {q}) has no landing bound")
-    return 2 * n + 2
+# 0 <= q <= p <= 4 and called grid cells.
 
 
 @dataclass(frozen=True)
@@ -143,6 +125,7 @@ def grid_exponent(b: int) -> int:
 def grid_landing(pair: Pair, b: int) -> GridLanding:
     """Steps until both coordinates are first divisible by b/5, and the cell.
 
+    The reference walk the tests compare :mod:`.verify`'s landing memo with.
     Exceeding the proven bound by a wide margin is treated as a hard failure
     rather than returning a wrong answer.
     """

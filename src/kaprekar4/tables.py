@@ -1,11 +1,12 @@
-"""Literal data tables for the bases b = 5 * 2^n.
+"""Literal data tables for the bases b = 5 * 2^n, one per grid-cell fact:
+landing bounds, the arrival grid, landing witnesses and total steps.
 
-These grids are embedded as constants, keyed by grid cell and by n mod 4,
-and verified computationally by the test suite and :mod:`.verify`.  They are
-never used as the computation itself, so a transcription slip shows up as a
-mismatch against measurement instead of silently steering results.  Each
-non-cycle total-step entry is checked cell by cell, against every pair that
-first lands on that cell.
+They are embedded as constants, keyed by grid cell and by n mod 4 (an entry
+a*n + c is the row (a, c)), and verified computationally by the test suite
+and :mod:`.verify`.  They are never used as the computation itself, so a
+transcription slip shows up as a mismatch against measurement instead of
+silently steering results.  Each non-cycle total-step entry is checked cell
+by cell, against every pair that first lands on that cell.
 
 Grid cells: a pair with both coordinates divisible by g = b/5 is written
 g*(p, q) and identified with the cell (p, q), 0 <= q <= p <= 4.
@@ -41,6 +42,23 @@ _ONE_STEP_TO_FIXED: frozenset[Cell] = frozenset({(2, 1), (3, 1), (4, 2), (4, 3)}
 def _check_cell(p: int, q: int) -> None:
     if not 0 <= q <= p <= 4:
         raise ValueError(f"({p}, {q}) is not a canonical grid cell")
+
+
+# Every pair orbit reaches a grid pair; an orbit first landing on g*(p, q)
+# takes at most a*n + c steps to get there.
+_LANDING_BOUND_ROWS: dict[Cell, tuple[int, int]] = {
+    (0, 0): (0, 0), (1, 1): (0, 0), (2, 2): (0, 0), (3, 3): (0, 0), (4, 4): (0, 0),
+    (3, 1): (0, 0), (3, 0): (1, 0), (4, 0): (1, 0), (4, 1): (1, 0),
+    (2, 0): (2, 0), (4, 2): (2, 0),
+    (1, 0): (2, 2), (2, 1): (2, 2), (3, 2): (2, 2), (4, 3): (2, 2),
+}
+
+
+def landing_bound(p: int, q: int, n: int) -> int:
+    """Upper bound on the steps needed before first hitting grid cell (p, q)."""
+    _check_cell(p, q)
+    a, c = _LANDING_BOUND_ROWS[(p, q)]
+    return a * n + c
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,15 @@
 dynamics of one base.  Depth "formulas" checks the two headline numbers;
 depth "deep" also exercises the structural claims behind them (predecessor
 tables, basin structure, grid landing bounds, the literal data tables, and
-integer-level cycle entries).  Mismatches are reported as data, never
-raised.
+integer-level cycle entries).  Mismatches, a rule row missing a candidate
+among them, are reported as data (exit 1); only a rule candidate that misses
+its target raises, from :func:`pair_distance_map`'s guard (exit 4).
 
 The deep checks of one base share two results: the distance map, which also
 gives the measured numbers, and the step table of :mod:`pairs`.  The checks
-walk pair orbits only through that table; ``landing-witnesses`` runs
-:func:`grid_landing`, the predictor it tests.  Each general predecessor rule
-row is checked against the table by count and image, and each condensed row
+walk pair orbits only through that table, and read every grid landing, the
+witnesses' too, from one memo over it.  Each general predecessor rule row is
+checked against the table by count and image, and each condensed row
 against the general one.
 """
 
@@ -50,8 +51,6 @@ from .predictions import (
     NoFixedPoint,
     TwoOrFour,
     classify_base,
-    grid_landing,
-    landing_bound,
     predict_convergent_fraction,
     predict_max_distance,
 )
@@ -59,6 +58,7 @@ from .tables import (
     cell_step_bound,
     cycle_cells,
     grid_arrival,
+    landing_bound,
     landing_witnesses,
     max_total_steps,
 )
@@ -237,11 +237,11 @@ def _orbit(pair: Pair, steps: int, table: array) -> list[Pair]:
 
 
 def _grid_landings(b: int, n: int, table: array) -> tuple[array, array]:
-    """:func:`grid_landing` of every pair code, memoised along the step table.
+    """The grid landing of every pair code, memoised along the step table.
 
     Returns the steps to the first grid pair and that grid pair's cell code,
-    each indexed by pair code.  A pair whose landing exceeds the same budget
-    of 2n + 8 steps raises ``RuntimeError``, as ``grid_landing`` does.
+    each indexed by pair code.  A pair whose landing exceeds a budget of
+    2n + 8 steps raises ``RuntimeError``, as ``predictions.grid_landing`` does.
     """
     g = b // 5
     budget = 2 * n + 8
@@ -313,9 +313,10 @@ def _grid_checks(b: int, n: int, table: array) -> list[Check]:
     # tightness: witness rows, per-cell attainment, column maxima, cycle rows
     detail = ""
     for w in landing_witnesses(n):
-        landing = grid_landing(w.start, b)
-        if (landing.steps, landing.cell) != (w.steps, w.cell):
-            detail = f"start {w.start}: measured {landing}, stated ({w.steps}, {w.cell})"
+        c = _code(w.start)
+        measured = (steps[c], _pair_at(cells[c]))
+        if measured != (w.steps, w.cell):
+            detail = f"start {w.start}: measured {measured}, stated {(w.steps, w.cell)}"
             break
     checks.append(Check("landing-witnesses", not detail, detail))
 

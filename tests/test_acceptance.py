@@ -32,11 +32,11 @@ from kaprekar4.pairs import (
 from kaprekar4.predictions import (
     classify_base,
     grid_landing,
-    landing_bound,
     predict_max_distance,
 )
 from kaprekar4.tables import (
     grid_arrival,
+    landing_bound,
     landing_witnesses,
     max_total_steps,
 )

@@ -253,11 +253,11 @@ PUBLIC = {
     "PairType", "canonical_pairs", "fixed_pair", "pair_count", "pair_of_digits", "step_pair",
     # predictions
     "BaseClass", "FiveMultiple", "GridLanding", "NoFixedPoint", "TwoOrFour", "classify_base",
-    "fixed_point_digits", "grid_landing", "landing_bound", "predict_convergent_fraction",
+    "fixed_point_digits", "grid_landing", "predict_convergent_fraction",
     "predict_max_distance",
     # tables
     "GridArrival", "LandingWitness", "cell_step_bound", "cycle_cells",
-    "grid_arrival", "landing_witnesses", "max_total_steps",
+    "grid_arrival", "landing_bound", "landing_witnesses", "max_total_steps",
     # verify
     "Check", "PredictionReport", "verify_base",
 }

@@ -10,7 +10,6 @@ from kaprekar4.predictions import (
     classify_base,
     fixed_point_digits,
     grid_landing,
-    landing_bound,
     predict_convergent_fraction,
     predict_max_distance,
 )
@@ -18,6 +17,7 @@ from kaprekar4.tables import (
     cell_step_bound,
     cycle_cells,
     grid_arrival,
+    landing_bound,
     landing_witnesses,
     max_total_steps,
 )

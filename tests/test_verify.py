@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+import kaprekar4.tables as tables
 import kaprekar4.verify as verify_mod
 from kaprekar4.dynamics import pair_distance_map
 from kaprekar4.pairs import _code, _pair_at, _step_table, canonical_pairs, step_pair
@@ -176,6 +177,69 @@ def test_shifted_landing_bound_fails(monkeypatch, shift, label, detail):
     assert (check.passed, check.detail) == (False, detail)
 
 
+# ---------------------------------------------------------------------------
+# a transcription slip in a literal table fails the check that reads it
+# ---------------------------------------------------------------------------
+
+
+def _with_column(row, col, entry):
+    return row[:col] + (entry,) + row[col + 1 :]
+
+
+def _slip_arrival_grid(monkeypatch):
+    # n = 5 reads column 1, where g*(1, 0) arrives at g*(4, 3)
+    row = tables._ARRIVAL_GRID[(1, 0)]
+    monkeypatch.setitem(tables._ARRIVAL_GRID, (1, 0), _with_column(row, 1, (2, 1)))
+
+
+def _slip_witness_row(monkeypatch):
+    # (9, 1) lands after 2n steps, not 3n
+    rows = tuple(
+        (start, 3 if start == (9, 1) else mult, cells)
+        for start, mult, cells in tables._FIXED_WITNESS_ROWS
+    )
+    monkeypatch.setattr(tables, "_FIXED_WITNESS_ROWS", rows)
+
+
+def _slip_cell_bound_row(monkeypatch):
+    # a repdigit reaches the all-zero numeral in one step, not two
+    row = tables._CELL_BOUND_ROWS[(0, 0)]
+    monkeypatch.setitem(tables._CELL_BOUND_ROWS, (0, 0), _with_column(row, 1, (0, 2, True)))
+
+
+@pytest.mark.parametrize(
+    "slip, label, detail",
+    [
+        (
+            _slip_arrival_grid,
+            "grid-arrival-table",
+            "cell (1,0) reaches (128, 96), table says (2, 1)",
+        ),
+        (
+            _slip_witness_row,
+            "landing-witnesses",
+            "start (9, 1): measured (10, (4, 2)), stated (15, (4, 2))",
+        ),
+        (
+            _slip_cell_bound_row,
+            "cycle-rows",
+            "cell (0, 0): start 4121761 gives ZeroSink(), tabulated 2",
+        ),
+    ],
+)
+def test_table_slip_fails_its_check(monkeypatch, capsys, slip, label, detail):
+    from kaprekar4.cli import main
+
+    slip(monkeypatch)
+    rep = verify_base(160, "deep")
+    assert [(c.label, c.detail) for c in rep.checks if not c.passed] == [(label, detail)]
+    if label == "cycle-rows":
+        check = verify_mod._check_cycle_rows(160, 5, _step_table(160))
+        assert (check.passed, check.detail) == (False, detail)
+    assert main(["verify", "--bases", "160..160", "--depth", "deep", "--jobs", "1"]) == 1
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("b", [15, 20, 60, 160])
 def test_one_distance_map_per_deep_verify(monkeypatch, b):
     import kaprekar4.dynamics as dynamics_mod
@@ -209,11 +273,10 @@ def test_step_table_follows_canonical_order(b):
         assert _pair_at(table[c]) == step_pair(p, b)
 
 
-@pytest.mark.parametrize("b", [15, 20, 40, 60, 80])
+@pytest.mark.parametrize("b", [15, 20, 40, 60, 80, 160, 320])
 def test_deep_verify_steps_each_pair_once(monkeypatch, b):
     # the step table steps every canonical pair once and the BFS guard every
-    # reached pair once; every other pair orbit reads the table.  These bases
-    # (m > 1 or n < 5) have no landing-witnesses check, which runs grid_landing.
+    # reached pair once; every other pair orbit reads the table
     reached = len(pair_distance_map(b).steps)
     calls = []
 
