@@ -67,6 +67,11 @@ def to_digits(x: int, b: int) -> DigitQuad:
 
 
 def step_value(x: int, b: int) -> int:
-    """One subtraction step: D - A, the digits sorted descending minus ascending."""
+    """One subtraction step: D - A, the digits sorted descending minus ascending.
+
+    The difference is taken place by place, the descending arrangement's
+    digit minus the ascending one's, and the four place differences are
+    read as one base-b number.
+    """
     s0, s1, s2, s3 = sorted(split_digits(x, b))
-    return join_digits((s3, s2, s1, s0), b) - join_digits((s0, s1, s2, s3), b)
+    return (((s3 - s0) * b + (s2 - s1)) * b + (s1 - s2)) * b + (s0 - s3)

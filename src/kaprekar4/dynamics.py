@@ -136,11 +136,12 @@ def pair_distance_map(b: int) -> PairDistanceMap:
     while frontier:
         nxt: list[Pair] = []
         for p in frontier:
+            s = steps[p] + 1
             for q in predecessors_of(p, b):
                 if not 0 <= q[1] <= q[0] < b or step_pair(q, b) != p:
                     raise RuntimeError(f"predecessor {q} of {p} misses it in base {b}")
                 if q not in steps:
-                    steps[q] = steps[p] + 1
+                    steps[q] = s
                     nxt.append(q)
         frontier = nxt
     return PairDistanceMap(base=b, fixed=target, steps=steps)

@@ -8,6 +8,7 @@ b^4 integer states to b*(b+1)/2 canonical pairs.
 
 Pair ``(d, dp)`` has the code ``d(d+1)/2 + dp``, its index in
 :func:`canonical_pairs` order; the step table of a base maps codes to codes.
+The predecessor rules build each row directly as a set of canonical pairs.
 """
 
 from __future__ import annotations
@@ -89,7 +90,12 @@ def _pair_at(code: int) -> Pair:
 
 def _step_table(b: int) -> array:
     """Entry ``c`` is the code of the image of the pair with code ``c``."""
-    return array("l", (_code(step_pair(p, b)) for p in canonical_pairs(b)))
+    check_base(b)
+    table = array("l")
+    for d in range(b):
+        for dp in range(d + 1):
+            table.append(_code(step_pair((d, dp), b)))
+    return table
 
 
 def _canonical(pair: Pair, b: int) -> Pair:
@@ -120,65 +126,62 @@ def fixed_pair(b: int) -> Pair:
 # "d = d' = (b+1)/2  <-  ((b+2)/2, 0)", which is not integral; the correct
 # row (re-derived from the C step {e-1, b-e} with e-1 = b-e) is
 # "d = d' = (b-1)/2  <-  ((b+1)/2, 0)" and is what is implemented here.
-# The exhaustive-scan tests pin this down for every base up to 64.  The rows
-# are checked where they are used, not here: by the guard step in the BFS of
-# ``dynamics.pair_distance_map`` and by verify's predecessor-inversion check.
+# The exhaustive-scan tests pin this down for every base from 2 to 60 and
+# for 97, 98, 99, 100 and 320.  The rows are checked where they are used,
+# not here: by the guard step in the BFS of ``dynamics.pair_distance_map``
+# and by verify's predecessor-inversion check.
+#
+# Both rule sets branch in :func:`step_pair`'s order and emit each row
+# already canonical.  With d >= dp the four A-type sign candidates come out
+# ordered: (b+d)/2 >= (b+dp)/2 >= (b-dp)/2 >= (b-d)/2, and likewise
+# h+i >= h+j >= h-j >= h-i in the condensed rules.
 
 
 def _canon(x: int, y: int) -> Pair:
     return (x, y) if x >= y else (y, x)
 
 
-def _sign_combos(d: int, dp: int, b: int) -> set[Pair]:
-    # A-type candidates ((b +/- d)/2, (b +/- dp)/2), all four sign choices
-    return {
-        _canon((b + d) // 2, (b + dp) // 2),
-        _canon((b + d) // 2, (b - dp) // 2),
-        _canon((b - dp) // 2, (b - d) // 2),
-        _canon((b + dp) // 2, (b - d) // 2),
-    }
-
-
 def predecessors_of(pair: Pair, b: int) -> set[Pair]:
     """Exact preimage of a canonical pair under :func:`step_pair`, unchecked."""
     d, dp = _canonical(pair, b)
-    out: set[Pair] = set()
-    kind = classify_pair(pair, b)
+    if d == 0:
+        return {(0, 0)}
 
-    if kind is PairType.ZERO:
-        out.add((0, 0))
-
-    elif kind is PairType.C:
+    if dp == 0:  # C
+        out: set[Pair] = set()
         if b % 2 == 0 and d % 2 == 0:
-            out.add(_canon((b + d) // 2, b // 2))
-            out.add(_canon(b // 2, (b - d) // 2))
-        if b % 2 == 1 and d == 2:
+            out = {((b + d) // 2, b // 2), (b // 2, (b - d) // 2)}
+        elif b % 2 == 1 and d == 2:
             e1, e2 = (b + 1) // 2, (b - 1) // 2
-            out.update({(e1, e1), (e1, e2), (e2, e2)})
+            out = {(e1, e1), (e1, e2), (e2, e2)}
         if d == b - 1:
             out.add((1, 0))
+        return out
 
-    elif kind is PairType.B:
-        if d == dp:
-            if d == 1 and b % 2 == 0:
-                out.add((b // 2, b // 2))
-            if b % 2 == 1 and d == (b - 1) // 2:
-                out.add(((b + 1) // 2, 0))
-        else:  # d + dp == b
-            if d % 2 == 0 and dp % 2 == 0:
-                out.update(_sign_combos(d, dp, b))
-            if d == dp + 2 and b % 4 == 0:
-                out.update({(3 * b // 4, 3 * b // 4), (3 * b // 4, b // 4), (b // 4, b // 4)})
+    if d == dp:  # B
+        if b % 2 == 0:
+            return {(b // 2, b // 2)} if d == 1 else set()
+        return {((b + 1) // 2, 0)} if 2 * d == b - 1 else set()
 
-    else:  # A
-        if d % 2 == b % 2 and dp % 2 == b % 2:
-            out.update(_sign_combos(d, dp, b))
-        if d == dp + 2 and d % 2 != b % 2:
-            e1, e2 = (b - 1 + d) // 2, (b + 1 - d) // 2
-            out.update({(e1, e1), (e1, e2), (e2, e2)})
-        if d + dp == b - 1:
-            out.update({(d + 1, 0), (dp + 1, 0)})
+    if d + dp == b:  # B
+        if d % 2 == 0 and dp % 2 == 0:
+            u, v, w, z = (b + d) // 2, (b + dp) // 2, (b - dp) // 2, (b - d) // 2
+            return {(u, v), (u, w), (w, z), (v, z)}
+        if d == dp + 2 and b % 4 == 0:
+            return {(3 * b // 4, 3 * b // 4), (3 * b // 4, b // 4), (b // 4, b // 4)}
+        return set()
 
+    # A
+    out = set()
+    if d % 2 == b % 2 and dp % 2 == b % 2:
+        u, v, w, z = (b + d) // 2, (b + dp) // 2, (b - dp) // 2, (b - d) // 2
+        out = {(u, v), (u, w), (w, z), (v, z)}
+    elif d == dp + 2:  # d, dp share a parity, so here it is not b's
+        e1, e2 = (b - 1 + d) // 2, (b + 1 - d) // 2
+        out = {(e1, e1), (e1, e2), (e2, e2)}
+    if d + dp == b - 1:
+        out.add((d + 1, 0))
+        out.add((dp + 1, 0))
     return out
 
 
@@ -191,31 +194,23 @@ def condensed_predecessors_of(pair: Pair, b: int) -> set[Pair]:
     if b % 4 != 0 or b <= 4:
         raise ValueError(f"condensed predecessor rules need 4 | b and b > 4, got {b}")
     d, dp = _canonical(pair, b)
-
-    if pair == (0, 0):
+    if d == 0:
         return {(0, 0)}
-    if pair == (1, 1):
-        return {(b // 2, b // 2)}
-    if pair == (b - 1, 0):
+    if dp == 0 and d == b - 1:
         return {(1, 0)}
-
     h = b // 2
-    out: set[Pair] = set()
-    if d % 2 == 0 and dp % 2 == 0 and d != dp:
-        i, j = d // 2, dp // 2
-        out = {
-            _canon(h + i, h + j),
-            _canon(h + i, h - j),
-            _canon(h - i, h + j),
-            _canon(h - i, h - j),
-        }
-    elif d % 2 == 1 and dp == d - 2:
-        k = (d - 1) // 2
-        out = {(h + k, h + k), _canon(h + k, h - k), (h - k, h - k)}
-    if d + dp == b - 1:
-        out.update({(d + 1, 0), (dp + 1, 0)})
+    if d == dp:
+        return {(h, h)} if d == 1 else set()
 
-    return out
+    if d % 2 == 0 and dp % 2 == 0:  # (2i, 2j) <- (h +/- i, h +/- j)
+        i, j = d // 2, dp // 2
+        return {(h + i, h + j), (h + i, h - j), (h + j, h - i), (h - j, h - i)}
+    if d % 2 == 1 and dp == d - 2:  # (2k+1, 2k-1) <- (h +/- k, h +/- k)
+        k = (d - 1) // 2
+        return {(h + k, h + k), (h + k, h - k), (h - k, h - k)}
+    if d + dp == b - 1:
+        return {(d + 1, 0), (dp + 1, 0)}
+    return set()
 
 
 # ---------------------------------------------------------------------------

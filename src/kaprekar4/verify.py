@@ -40,7 +40,6 @@ from .pairs import (
     _code,
     _pair_at,
     _step_table,
-    canonical_pairs,
     classify_pair,
     condensed_predecessors_of,
     fixed_pair,
@@ -157,14 +156,20 @@ def _check_predecessor_inversion(
     for t in table:
         counts[t] += 1
     condensed = b % 4 == 0 and b > 4
-    for c, p in enumerate(canonical_pairs(b)):
-        row = predecessors_of(p, b)
-        if len(row) != counts[c] or not all(
-            0 <= q[1] <= q[0] < b and table[_code(q)] == c for q in row
-        ):
-            return Check("predecessor-inversion", False, f"table wrong at {p}")
-        if condensed and condensed_predecessors_of(p, b) != row:
-            return Check("predecessor-inversion", False, f"condensed rules wrong at {p}")
+    c = 0
+    for d in range(b):
+        for dp in range(d + 1):
+            p = (d, dp)
+            row = predecessors_of(p, b)
+            if len(row) != counts[c]:
+                return Check("predecessor-inversion", False, f"table wrong at {p}")
+            for q in row:
+                x, y = q
+                if not 0 <= y <= x < b or table[_code(q)] != c:
+                    return Check("predecessor-inversion", False, f"table wrong at {p}")
+            if condensed and condensed_predecessors_of(p, b) != row:
+                return Check("predecessor-inversion", False, f"condensed rules wrong at {p}")
+            c += 1
     if pdm is not None:
         # The fixed pair has distance 0 and every other pair is in the map
         # exactly when its image is, one step further out.  Distances then

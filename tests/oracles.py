@@ -1,9 +1,12 @@
 """Independent brute-force oracles for the test suite.
 
-Deliberately different mechanics from the package: the step is computed by
-converting whole rearrangements to integers and subtracting (the package
-subtracts digit columns), and preimages/counts come from exhaustive scans.  Pair distances come from a
-forward walk of every pair orbit (the package walks predecessors backwards).
+Deliberately different mechanics from the package: the step splits and
+rebuilds numerals with its own digit loops, converts both whole
+rearrangements to integers and subtracts them (the package's
+``step_value`` subtracts the sorted digits place by place and reads the
+four signed differences as one base-b number), and preimages/counts come
+from exhaustive scans.  Pair distances come from a forward walk of every
+pair orbit (the package walks predecessors backwards).
 The full-table helpers hold one entry per value of [0, b^4), sorted with
 ``np.sort`` (the package streams chunks through a comparator network and
 keeps only the image set), so they are the reference for small bases.

@@ -143,11 +143,16 @@ def test_predecessor_rules_step_nothing(monkeypatch):
 
 
 def test_predecessors_invert_step_small_bases():
-    # acceptance covers 5..60; tiny bases are pinned here
-    for b in range(2, 13):
+    # acceptance covers 5..60; tiny bases are pinned here, and so are bases
+    # above 60 in every residue mod 4, plus the benchmark's base 320
+    for b in [*range(2, 13), 97, 98, 99, 100, 320]:
         preimages = oracle_preimages(b)
+        condensed = b % 4 == 0 and b > 4
         for p in canonical_pairs(b):
-            assert predecessors_of(p, b) == preimages.get(p, set()), (b, p)
+            scanned = preimages.get(p, set())
+            assert predecessors_of(p, b) == scanned, (b, p)
+            if condensed:
+                assert condensed_predecessors_of(p, b) == scanned, (b, p)
 
 
 def test_condensed_examples_base_8():

@@ -240,6 +240,36 @@ def test_table_slip_fails_its_check(monkeypatch, capsys, slip, label, detail):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "at, lands, detail",
+    [
+        # the shifted carrier (13, 6, 2, 1) of the fixed pair (12, 4)
+        (106441, False, "106441 misses the fixed numeral"),
+        # (8, 4, 0, 0), on the first-generation predecessor pair (8, 4)
+        (65600, True, "65600 (pair (8, 4)) short-circuits"),
+    ],
+)
+def test_wrong_step_fails_fixed_numeral_landing(monkeypatch, capsys, at, lands, detail):
+    from kaprekar4.cli import main
+    from kaprekar4.dynamics import fixed_numeral_value
+
+    real = verify_mod.step_value
+    v_fixed = fixed_numeral_value(20)
+
+    def wrong(x, b):
+        if x != at:
+            return real(x, b)
+        return v_fixed if lands else v_fixed + 1
+
+    monkeypatch.setattr(verify_mod, "step_value", wrong)
+    rep = verify_base(20, "deep")
+    assert [(c.label, c.detail) for c in rep.checks if not c.passed] == [
+        ("fixed-numeral-landing", detail)
+    ]
+    assert main(["verify", "--bases", "20..20", "--depth", "deep", "--jobs", "1"]) == 1
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("b", [15, 20, 60, 160])
 def test_one_distance_map_per_deep_verify(monkeypatch, b):
     import kaprekar4.dynamics as dynamics_mod
