@@ -7,6 +7,11 @@ command builds one payload, the dict its JSON schema under
 fixed column order (null is an empty cell, booleans are ``true``/``false``),
 and ``--format text`` is one renderer per command that reads the same
 payload.  Output uses LF line endings and '.' as the decimal separator.
+``sweep`` and ``verify`` plan their bases from one work estimate per base
+(:func:`~kaprekar4.dynamics.work_estimate`): ``--jobs N`` is a ceiling on
+worker processes, a run too small to repay a pool's start-up stays
+in-process, and a pool starts the most expensive bases first.  Rows are
+written in base order, so the output does not depend on the plan.
 Exit codes: 0 success / all checks match, 1 verification mismatch, 2 usage
 error, 3 undetermined orbit, 4 internal error (a crash, out of memory, a
 broken worker pool).
@@ -30,6 +35,7 @@ from .dynamics import (
     ZeroSink,
     base_report,
     trajectory,
+    work_estimate,
 )
 from .pairs import pair_of_digits
 from .predictions import (
@@ -51,6 +57,10 @@ SWEEP_COLUMNS = (
 HISTOGRAM_COLUMNS = ("k", "count", "fraction")
 FIXED_POINTS_COLUMNS = ("b", "value", "d3", "d2", "d1", "d0", "pair_outer", "pair_inner")
 SWEEP_METRICS = ("mb", "cb", "sbsize", "fixedpoints")
+_JOBS_HELP = (
+    "most worker processes (default: all cores); small runs stay in-process, a pool"
+    " starts the largest bases first, and the output does not depend on either"
+)
 
 
 class UsageError(ValueError):
@@ -151,18 +161,46 @@ def parse_digit_list(text: str, b: int) -> Digits:
     return DigitQuad(b, digits).digits
 
 
-def _parallel_map(worker, tasks, jobs: int | None):
+# What starting a pool costs, in work_estimate units (~3 us each).  On a
+# 2-core host, importing the pool module, forking two workers and shipping
+# the rows of sweep 2..200 back cost ~0.1 s more than the serial run.
+_POOL_START_UNITS = 30_000
+
+
+def _parallel_map(worker, tasks, costs: list[int], jobs: int | None):
+    """``[worker(t) for t in tasks]``, each task a tuple led by its base and
+    ``costs`` their work estimates.
+
+    ``jobs`` caps the workers, at most one per task.  The run stays
+    in-process unless a pool could take more than ``_POOL_START_UNITS``
+    off the critical path: total - max(longest, total / jobs).  A pool gets
+    the most expensive tasks first; the rows come back in task order.
+    """
     if jobs is not None and jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
     # at most one worker per task: the pool forks all its workers at once
     jobs = min(jobs or os.cpu_count() or 1, len(tasks))
-    if jobs <= 1:
+    total = sum(costs)
+    if jobs <= 1 or total - max(max(costs), total / jobs) <= _POOL_START_UNITS:
         return [worker(t) for t in tasks]
     # imported here: a serial run never loads the multiprocessing machinery
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks, chunksize=1))
+    order = sorted(range(len(tasks)), key=costs.__getitem__, reverse=True)
+    futures = {}
+    try:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            for i in order:
+                futures[i] = pool.submit(worker, tasks[i])
+        return [futures[i].result() for i in range(len(tasks))]
+    except BrokenExecutor as exc:
+        # in submission order: the first lost tasks were running when a worker died
+        lost = [tasks[i][0] for i in order if i not in futures or futures[i].exception()]
+        more = f" and {len(lost) - 10} more" if len(lost) > 10 else ""
+        raise type(exc)(
+            f"{exc}; no row came back for bases {', '.join(map(str, lost[:10]))}{more}"
+            " (largest estimate first)"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +360,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     bad = [m for m in metrics if m not in SWEEP_METRICS]
     if bad or not metrics:
         raise UsageError(f"metrics must be a non-empty subset of {SWEEP_METRICS}")
-    tasks = [(b, frozenset(metrics)) for b in range(lo, hi + 1)]
-    rows = _parallel_map(_sweep_worker, tasks, args.jobs)
+    bases = range(lo, hi + 1)
+    # fixedpoints alone measures nothing but bases 2 and 4
+    measured = bool({"mb", "cb", "sbsize"} & set(metrics))
+    costs = [work_estimate(b) if measured else 1 for b in bases]
+    rows = _parallel_map(_sweep_worker, [(b, frozenset(metrics)) for b in bases], costs,
+                         args.jobs)
     payload = {"bases": [lo, hi], "metrics": metrics, "rows": rows}
     _write(args, payload, _sweep_text, SWEEP_COLUMNS, rows)
     return 0
@@ -410,8 +452,9 @@ def _verify_text(payload: dict) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = parse_base_range(args.bases)
-    tasks = [(b, args.depth) for b in range(lo, hi + 1)]
-    reports = _parallel_map(_verify_worker, tasks, args.jobs)
+    bases = range(lo, hi + 1)
+    costs = [work_estimate(b, args.depth == "deep") for b in bases]
+    reports = _parallel_map(_verify_worker, [(b, args.depth) for b in bases], costs, args.jobs)
     all_match = all(r["all_match"] for r in reports)
     payload = {"bases": [lo, hi], "depth": args.depth, "all_match": all_match, "reports": reports}
     _write(args, payload, _verify_text)
@@ -451,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", type=str, default="mb,cb,sbsize")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("histogram", help="distance distribution of one base")
@@ -466,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", choices=DEPTHS, default="formulas")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     p.set_defaults(func=cmd_verify)
 
     return parser

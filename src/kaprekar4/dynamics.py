@@ -251,3 +251,23 @@ def base_report(b: int, method: str = "auto") -> BaseReport:
     if method == "pairs" or b % 5 == 0:
         return _pairs_report(pair_distance_map(b))
     return BaseReport(b, {}, [])
+
+
+def work_estimate(b: int, deep: bool = False) -> int:
+    """Units of work ``base_report(b)`` does on its route; ``deep`` adds a
+    deep verify's walk over all b(b+1)/2 canonical pairs.
+
+    A unit is one reached pair for 5 | b: at most b(b+1)/2 when b = 5*2^n,
+    exactly 4^(n+1) when b = 5m*2^n with odd m > 1.  It costs ~1-3.5 us.
+    Bases 2 and 4 count 10 per numeral, about what their integer orbits
+    cost; other bases count 1.
+    """
+    if b in (2, 4):
+        units = 10 * b**4
+    elif b % 5:
+        units = 1
+    else:
+        q = b // 5
+        low = q & -q  # 2^n
+        units = b * (b + 1) // 2 if q == low else 4 * low * low
+    return units + (b * (b + 1) // 2 if deep else 0)

@@ -227,28 +227,32 @@ def test_sweep_text_format(capsys):
     assert out.splitlines()[0].startswith("b ")
 
 
-def test_sweep_jobs_parallel_identical(capsys, tmp_path):
-    one = tmp_path / "one.csv"
-    two = tmp_path / "two.csv"
-    assert main(["sweep", "--bases", "2..25", "--format", "csv",
-                 "--jobs", "1", "--out", str(one)]) == 0
-    assert main(["sweep", "--bases", "2..25", "--format", "csv",
-                 "--jobs", "4", "--out", str(two)]) == 0
-    assert one.read_bytes() == two.read_bytes()
+# ---------------------------------------------------------------------------
+# process-pool plan
+# ---------------------------------------------------------------------------
+
+# The installed-wheel step of .github/workflows/tier1.yml compares this
+# command's --jobs 2 output with its --jobs 1 output; its estimate must
+# plan a pool there, or the step would compare two serial runs.
+POOL_VERIFY = ["verify", "--bases", "150..170", "--depth", "deep"]
 
 
-@pytest.mark.parametrize("jobs", [["--jobs", "5000"], []])
-def test_pool_has_at_most_one_worker_per_base(capsys, monkeypatch, jobs):
+@pytest.fixture
+def stand_in_pool(monkeypatch):
+    """Replaces ProcessPoolExecutor with an in-process stand-in; the returned
+    log records each pool's max_workers and the bases in submission order.
+    Setting ``log.broken_after = k`` fails every task after the first k with
+    BrokenProcessPool, from the future or (``log.broken_submit``) from
+    ``submit`` itself."""
     import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
+    from types import SimpleNamespace
 
-    import kaprekar4.cli as cli_mod
+    log = SimpleNamespace(workers=[], bases=[], broken_after=None, broken_submit=False)
 
-    seen = []
-
-    class SerialPool:
-        # stands in for ProcessPoolExecutor: records max_workers, starts nothing
+    class StandInPool:
         def __init__(self, max_workers):
-            seen.append(max_workers)
+            log.workers.append(max_workers)
 
         def __enter__(self):
             return self
@@ -256,18 +260,128 @@ def test_pool_has_at_most_one_worker_per_base(capsys, monkeypatch, jobs):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def submit(self, fn, task):
+            future = concurrent.futures.Future()
+            if log.broken_after is not None and len(log.bases) >= log.broken_after:
+                broken = BrokenProcessPool("A process in the process pool was terminated")
+                if log.broken_submit:
+                    raise broken
+                future.set_exception(broken)
+            else:
+                future.set_result(fn(task))
+            log.bases.append(task[0])
+            return future
+
+    # _parallel_map imports the executor from concurrent.futures when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandInPool)
+    return log
+
+
+def test_sweep_jobs_parallel_identical(monkeypatch, tmp_path):
+    import concurrent.futures
+
+    import kaprekar4.cli as cli_mod
+
+    # 2..25 is too small to repay a pool; a free start-up makes this one real
+    monkeypatch.setattr(cli_mod, "_POOL_START_UNITS", 0)
+    started = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    one = tmp_path / "one.csv"
+    two = tmp_path / "two.csv"
+    assert main(["sweep", "--bases", "2..25", "--format", "csv",
+                 "--jobs", "1", "--out", str(one)]) == 0
+    assert started == []
+    assert main(["sweep", "--bases", "2..25", "--format", "csv",
+                 "--jobs", "4", "--out", str(two)]) == 0
+    assert started == [4]
+    assert "concurrent.futures.process" in sys.modules
+    assert one.read_bytes() == two.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [["--jobs", "5000"], []])
+def test_pool_has_at_most_one_worker_per_base(capsys, monkeypatch, stand_in_pool, jobs):
+    import kaprekar4.cli as cli_mod
 
     argv = ["sweep", "--bases", "2..3", "--format", "csv"]
     _, serial, _ = run(capsys, *argv, "--jobs", "1")
-    # _parallel_map imports the executor from concurrent.futures when it starts a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli_mod, "_POOL_START_UNITS", 0)
     monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 64)
     code, out, _ = run(capsys, *argv, *jobs)
     assert code == 0
-    assert seen == [2]
+    assert stand_in_pool.workers == [2]
     assert out == serial
+
+
+def test_benchmark_sweep_plans_in_process():
+    # the benchmark's sweep does ~0.06 s of work, 0.04 s of it base 160: a
+    # second worker could take ~8,000 units off the critical path, less than
+    # a pool costs to start
+    argv = ["sweep", "--bases", "2..200", "--metrics", "mb,cb", "--format", "csv",
+            "--jobs", "2", "--out", os.devnull]
+    probe = (
+        "import sys, concurrent.futures, kaprekar4.cli\n"
+        "started = []\n"
+        "concurrent.futures.ProcessPoolExecutor = started.append\n"
+        f"code = kaprekar4.cli.main({argv!r})\n"
+        "print(code, len(started), 'concurrent.futures.process' in sys.modules)\n"
+    )
+    assert _run_probe(probe) == ["0", "0", "False"]
+
+
+def test_mid_cost_range_plans_a_pool_largest_first(capsys, stand_in_pool):
+    _, serial, _ = run(capsys, *POOL_VERIFY, "--jobs", "1")
+    assert stand_in_pool.workers == []
+    code, out, _ = run(capsys, *POOL_VERIFY, "--jobs", "2")
+    assert code == 0
+    assert stand_in_pool.workers == [2]
+    # 160 = 5*2^5 adds its whole basin to the b(b+1)/2 deep walk
+    assert stand_in_pool.bases[:3] == [160, 170, 169]
+    assert sorted(stand_in_pool.bases) == list(range(150, 171))
+    assert out == serial
+
+
+@pytest.mark.parametrize("broken_submit", [False, True])
+def test_broken_pool_names_the_lost_bases(capsys, monkeypatch, stand_in_pool, broken_submit):
+    import kaprekar4.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "_POOL_START_UNITS", 0)
+    stand_in_pool.broken_after = 2
+    stand_in_pool.broken_submit = broken_submit
+    code, out, err = run(capsys, "sweep", "--bases", "2..40", "--metrics", "mb,cb",
+                         "--jobs", "2")
+    assert code == 4
+    assert out == ""
+    # bases 4 and 40 came back; the first lost base is the next largest
+    assert stand_in_pool.bases[:2] == [4, 40]
+    assert err.startswith("internal error: BrokenProcessPool(")
+    assert ("no row came back for bases 20, 2, 10, 30, 5, 15, 25, 35, 3, 6 and 27 more"
+            " (largest estimate first)") in err
+
+
+def test_sweep_near_max_base(capsys, monkeypatch, stand_in_pool):
+    import kaprekar4.cli as cli_mod
+
+    # the cheap bases at the top of the declared range, measured, in-process
+    # by plan even with many cores
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 64)
+    code, out, _ = run(capsys, "sweep", "--bases", "65440..65536", "--metrics", "mb,cb",
+                       "--format", "json")
+    assert code == 0
+    assert stand_in_pool.workers == []
+    rows = {r["b"]: r for r in json.loads(out)["rows"]}
+    for b, mn in {65535: (13107, 0), 65520: (819, 4), 65440: (409, 5)}.items():
+        assert (rows[b]["m"], rows[b]["n"]) == mn
+        assert rows[b]["mb_match"] is True and rows[b]["cb_match"] is True
+    assert rows[65536]["mb_match"] is None and rows[65536]["cb_match"] is None
+    fives = [r for r in rows.values() if r["m"] is not None]
+    assert len(fives) == 20
+    assert all(r["mb_match"] and r["cb_match"] for r in fives)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -452,31 +566,41 @@ def test_cli_import_does_not_load_numpy():
     assert _run_probe(probe) == ["False", "False", "0", "False", "False"] + ["0", "False"] * 4
 
 
-def test_sweep_real_pool_matches_serial():
-    # the goldens all run --jobs 1; this one starts a real two-worker pool
+def _pool_probe(argv, out_path, start_units=None) -> list[str]:
+    """Run the CLI in a fresh interpreter, writing to ``out_path``; its exit
+    code and whether the process-pool module was loaded.  ``start_units``
+    replaces the pool's estimated start-up cost."""
+    probe = "import sys, kaprekar4.cli\n"
+    if start_units is not None:
+        probe += f"kaprekar4.cli._POOL_START_UNITS = {start_units}\n"
+    probe += (
+        f"code = kaprekar4.cli.main({[*argv, '--out', str(out_path)]!r})\n"
+        "print(code, 'concurrent.futures.process' in sys.modules)\n"
+    )
+    return _run_probe(probe)
+
+
+def test_sweep_real_pool_matches_serial(tmp_path):
+    # the goldens all run --jobs 1; this one starts a real two-worker pool,
+    # which 2..60 is too small to repay unless its start-up is free
     argv = ["sweep", "--bases", "2..60", "--metrics", "mb,cb,sbsize,fixedpoints",
             "--format", "csv"]
-    outs = [
-        _run_probe("import kaprekar4.cli\n"
-                   f"raise SystemExit(kaprekar4.cli.main({[*argv, '--jobs', jobs]!r}))\n",
-                   split=False)
-        for jobs in ("1", "2")
-    ]
-    assert outs[0] == outs[1]
-    assert outs[0].startswith("b,m,n,")
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert _pool_probe([*argv, "--jobs", "1"], one, start_units=0) == ["0", "False"]
+    assert _pool_probe([*argv, "--jobs", "2"], two, start_units=0) == ["0", "True"]
+    assert one.read_bytes() == two.read_bytes()
+    assert one.read_text().startswith("b,m,n,")
 
 
-def test_verify_real_pool_matches_serial():
-    # the deep checks run in the workers and come back as JSON rows
-    argv = ["verify", "--bases", "2..40", "--depth", "deep", "--format", "json"]
-    outs = [
-        _run_probe("import kaprekar4.cli\n"
-                   f"raise SystemExit(kaprekar4.cli.main({[*argv, '--jobs', jobs]!r}))\n",
-                   split=False)
-        for jobs in ("1", "2")
-    ]
-    assert outs[0] == outs[1]
-    assert json.loads(outs[0])["all_match"]
+def test_verify_real_pool_matches_serial(tmp_path):
+    # the deep checks run in the workers and come back as JSON rows; the
+    # range's own estimate plans the pool
+    argv = [*POOL_VERIFY, "--format", "json"]
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    assert _pool_probe([*argv, "--jobs", "1"], one) == ["0", "False"]
+    assert _pool_probe([*argv, "--jobs", "2"], two) == ["0", "True"]
+    assert one.read_bytes() == two.read_bytes()
+    assert json.loads(one.read_text())["all_match"]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")

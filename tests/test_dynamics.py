@@ -14,8 +14,10 @@ from kaprekar4.dynamics import (
     integer_distance,
     pair_distance_map,
     trajectory,
+    work_estimate,
 )
 from kaprekar4.pairs import canonical_pairs, pair_count, step_pair
+from kaprekar4.predictions import classify_base
 from oracles import (
     full_report,
     oracle_distance,
@@ -140,6 +142,22 @@ def test_one_guard_step_per_reached_pair(monkeypatch, b, reached):
 # ---------------------------------------------------------------------------
 # integer distance
 # ---------------------------------------------------------------------------
+
+
+def test_work_estimate_bounds_the_pair_route():
+    # the CLI plans its pool from this estimate: it may not undercount
+    for b in range(5, 401, 5):
+        reached = len(pair_distance_map(b).steps)
+        estimate = work_estimate(b)
+        assert reached <= estimate, b
+        if classify_base(b).m > 1:
+            assert reached == estimate, b
+        assert work_estimate(b, deep=True) == estimate + b * (b + 1) // 2
+
+
+def test_work_estimate_of_other_routes():
+    assert [work_estimate(b) for b in (2, 3, 4, 6, 65536)] == [160, 1, 2560, 1, 1]
+    assert work_estimate(7, deep=True) == 1 + 28
 
 
 def test_integer_distance_examples():
