@@ -9,9 +9,10 @@ and ``--format text`` is one renderer per command that reads the same
 payload.  Output uses LF line endings and '.' as the decimal separator.
 ``sweep`` and ``verify`` plan their bases from one work estimate per base
 (:func:`~kaprekar4.dynamics.work_estimate`): ``--jobs N`` is a ceiling on
-worker processes, a run too small to repay a pool's start-up stays
-in-process, and a pool starts the most expensive bases first.  Rows are
-written in base order, so the output does not depend on the plan.
+worker processes, a run whose estimate does not cover a pool's measured
+start-up and per-task cost stays in-process, and a pool starts the most
+expensive bases first.  Rows are written in base order, so the output does
+not depend on the plan.
 Exit codes: 0 success / all checks match, 1 verification mismatch, 2 usage
 error, 3 undetermined orbit, 4 internal error (a crash, out of memory, a
 broken worker pool).
@@ -57,6 +58,8 @@ SWEEP_COLUMNS = (
 HISTOGRAM_COLUMNS = ("k", "count", "fraction")
 FIXED_POINTS_COLUMNS = ("b", "value", "d3", "d2", "d1", "d0", "pair_outer", "pair_inner")
 SWEEP_METRICS = ("mb", "cb", "sbsize", "fixedpoints")
+# the metrics that need base_report
+_REPORT_METRICS = frozenset({"mb", "cb", "sbsize"})
 _JOBS_HELP = (
     "most worker processes (default: all cores); small runs stay in-process, a pool"
     " starts the largest bases first, and the output does not depend on either"
@@ -161,10 +164,15 @@ def parse_digit_list(text: str, b: int) -> Digits:
     return DigitQuad(b, digits).digits
 
 
-# What starting a pool costs, in work_estimate units (~3 us each).  On a
-# 2-core host, importing the pool module, forking two workers and shipping
-# the rows of sweep 2..200 back cost ~0.1 s more than the serial run.
-_POOL_START_UNITS = 30_000
+# What a pool costs, in work_estimate units (~2.5 us each in-process).
+# Measured on a 2-core host against --jobs 1, in fresh processes: a
+# two-worker pool costs ~0.034 s to start plus ~0.12 ms per task, and wins
+# back ~1.8 us per unit it moves off the critical path, so 0.034 s and
+# 0.12 ms come to ~20,000 and ~64 units.  verify 60..80 --depth deep
+# (18,000 units off, 21 tasks) broke even; sweep 2..400 (24,000 units off,
+# 399 tasks) still lost 0.03 s.
+_POOL_START_UNITS = 20_000
+_POOL_TASK_UNITS = 64
 
 
 def _parallel_map(worker, tasks, costs: list[int], jobs: int | None):
@@ -172,35 +180,39 @@ def _parallel_map(worker, tasks, costs: list[int], jobs: int | None):
     ``costs`` their work estimates.
 
     ``jobs`` caps the workers, at most one per task.  The run stays
-    in-process unless a pool could take more than ``_POOL_START_UNITS``
-    off the critical path: total - max(longest, total / jobs).  A pool gets
-    the most expensive tasks first; the rows come back in task order.
+    in-process unless the work a pool could take off the critical path,
+    total - max(longest, total / jobs), exceeds what the pool costs to
+    start and to feed, both measured in the same units.  A pool gets the
+    most expensive tasks first; the rows come back in task order.
     """
     if jobs is not None and jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
     # at most one worker per task: the pool forks all its workers at once
     jobs = min(jobs or os.cpu_count() or 1, len(tasks))
     total = sum(costs)
-    if jobs <= 1 or total - max(max(costs), total / jobs) <= _POOL_START_UNITS:
+    saved = total - max(max(costs), total / jobs)
+    if jobs <= 1 or saved <= _POOL_START_UNITS + _POOL_TASK_UNITS * len(tasks):
         return [worker(t) for t in tasks]
     # imported here: a serial run never loads the multiprocessing machinery
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     order = sorted(range(len(tasks)), key=costs.__getitem__, reverse=True)
-    futures = {}
+    rows = [None] * len(tasks)
+    done = 0
     try:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i in order:
-                futures[i] = pool.submit(worker, tasks[i])
-        return [futures[i].result() for i in range(len(tasks))]
+            for row in pool.map(worker, [tasks[i] for i in order], chunksize=1):
+                rows[order[done]] = row
+                done += 1
     except BrokenExecutor as exc:
         # in submission order: the first lost tasks were running when a worker died
-        lost = [tasks[i][0] for i in order if i not in futures or futures[i].exception()]
+        lost = [tasks[i][0] for i in order[done:]]
         more = f" and {len(lost) - 10} more" if len(lost) > 10 else ""
         raise type(exc)(
             f"{exc}; no row came back for bases {', '.join(map(str, lost[:10]))}{more}"
             " (largest estimate first)"
         ) from exc
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +332,7 @@ def _sweep_worker(task: tuple[int, frozenset[str]]) -> dict:
     cls = classify_base(b)
     five = isinstance(cls, FiveMultiple)
     report = None
-    if not isinstance(cls, NoFixedPoint) and metrics & {"mb", "cb", "sbsize"}:
+    if not isinstance(cls, NoFixedPoint) and metrics & _REPORT_METRICS:
         report = base_report(b)
     measured = report.max_distance if report and "mb" in metrics else None
     predicted = predict_max_distance(b) if "mb" in metrics else None
@@ -362,7 +374,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"metrics must be a non-empty subset of {SWEEP_METRICS}")
     bases = range(lo, hi + 1)
     # fixedpoints alone measures nothing but bases 2 and 4
-    measured = bool({"mb", "cb", "sbsize"} & set(metrics))
+    measured = bool(_REPORT_METRICS.intersection(metrics))
     costs = [work_estimate(b) if measured else 1 for b in bases]
     rows = _parallel_map(_sweep_worker, [(b, frozenset(metrics)) for b in bases], costs,
                          args.jobs)
@@ -453,7 +465,12 @@ def _verify_text(payload: dict) -> str:
 def cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = parse_base_range(args.bases)
     bases = range(lo, hi + 1)
-    costs = [work_estimate(b, args.depth == "deep") for b in bases]
+    # a deep verify also walks all b(b+1)/2 canonical pairs: ~2 units each
+    # when 5 | b (predecessor rows, distance and grid checks), ~1/5 of a unit
+    # otherwise (the step table alone)
+    deep = args.depth == "deep"
+    costs = [work_estimate(b) + (b * (b + 1) // (1 if b % 5 == 0 else 10) if deep else 0)
+             for b in bases]
     reports = _parallel_map(_verify_worker, [(b, args.depth) for b in bases], costs, args.jobs)
     all_match = all(r["all_match"] for r in reports)
     payload = {"bases": [lo, hi], "depth": args.depth, "all_match": all_match, "reports": reports}

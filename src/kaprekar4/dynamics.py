@@ -253,9 +253,8 @@ def base_report(b: int, method: str = "auto") -> BaseReport:
     return BaseReport(b, {}, [])
 
 
-def work_estimate(b: int, deep: bool = False) -> int:
-    """Units of work ``base_report(b)`` does on its route; ``deep`` adds a
-    deep verify's walk over all b(b+1)/2 canonical pairs.
+def work_estimate(b: int) -> int:
+    """Units of work ``base_report(b)`` does on its route.
 
     A unit is one reached pair for 5 | b: at most b(b+1)/2 when b = 5*2^n,
     exactly 4^(n+1) when b = 5m*2^n with odd m > 1.  It costs ~1-3.5 us.
@@ -263,11 +262,9 @@ def work_estimate(b: int, deep: bool = False) -> int:
     cost; other bases count 1.
     """
     if b in (2, 4):
-        units = 10 * b**4
-    elif b % 5:
-        units = 1
-    else:
-        q = b // 5
-        low = q & -q  # 2^n
-        units = b * (b + 1) // 2 if q == low else 4 * low * low
-    return units + (b * (b + 1) // 2 if deep else 0)
+        return 10 * b**4
+    if b % 5:
+        return 1
+    q = b // 5
+    low = q & -q  # 2^n
+    return b * (b + 1) // 2 if q == low else 4 * low * low

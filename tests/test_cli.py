@@ -233,22 +233,30 @@ def test_sweep_text_format(capsys):
 
 # The installed-wheel step of .github/workflows/tier1.yml compares this
 # command's --jobs 2 output with its --jobs 1 output; its estimate must
-# plan a pool there, or the step would compare two serial runs.
-POOL_VERIFY = ["verify", "--bases", "150..170", "--depth", "deep"]
+# plan a pool there, or the step would compare two serial runs.  It runs
+# bases 2 and 4 (the orbit route) and the grid checks of n = 2, 3 and 5.
+POOL_VERIFY = ["verify", "--bases", "2..170", "--depth", "deep"]
+
+
+def _free_pool(monkeypatch):
+    """Plan a pool for any run that a second worker could shorten at all."""
+    import kaprekar4.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "_POOL_START_UNITS", 0)
+    monkeypatch.setattr(cli_mod, "_POOL_TASK_UNITS", 0)
 
 
 @pytest.fixture
 def stand_in_pool(monkeypatch):
     """Replaces ProcessPoolExecutor with an in-process stand-in; the returned
     log records each pool's max_workers and the bases in submission order.
-    Setting ``log.broken_after = k`` fails every task after the first k with
-    BrokenProcessPool, from the future or (``log.broken_submit``) from
-    ``submit`` itself."""
+    Setting ``log.broken_after = k`` fails the map with BrokenProcessPool
+    after its first k rows."""
     import concurrent.futures
     from concurrent.futures.process import BrokenProcessPool
     from types import SimpleNamespace
 
-    log = SimpleNamespace(workers=[], bases=[], broken_after=None, broken_submit=False)
+    log = SimpleNamespace(workers=[], bases=[], broken_after=None)
 
     class StandInPool:
         def __init__(self, max_workers):
@@ -260,17 +268,13 @@ def stand_in_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, task):
-            future = concurrent.futures.Future()
-            if log.broken_after is not None and len(log.bases) >= log.broken_after:
-                broken = BrokenProcessPool("A process in the process pool was terminated")
-                if log.broken_submit:
-                    raise broken
-                future.set_exception(broken)
-            else:
-                future.set_result(fn(task))
-            log.bases.append(task[0])
-            return future
+        def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            log.bases.extend(task[0] for task in tasks)
+            for k, task in enumerate(tasks):
+                if k == log.broken_after:
+                    raise BrokenProcessPool("A process in the process pool was terminated")
+                yield fn(task)
 
     # _parallel_map imports the executor from concurrent.futures when it starts a pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandInPool)
@@ -280,10 +284,8 @@ def stand_in_pool(monkeypatch):
 def test_sweep_jobs_parallel_identical(monkeypatch, tmp_path):
     import concurrent.futures
 
-    import kaprekar4.cli as cli_mod
-
-    # 2..25 is too small to repay a pool; a free start-up makes this one real
-    monkeypatch.setattr(cli_mod, "_POOL_START_UNITS", 0)
+    # 2..25 is too small to repay a pool; a free one makes this one real
+    _free_pool(monkeypatch)
     started = []
 
     class RecordedPool(concurrent.futures.ProcessPoolExecutor):
@@ -300,7 +302,6 @@ def test_sweep_jobs_parallel_identical(monkeypatch, tmp_path):
     assert main(["sweep", "--bases", "2..25", "--format", "csv",
                  "--jobs", "4", "--out", str(two)]) == 0
     assert started == [4]
-    assert "concurrent.futures.process" in sys.modules
     assert one.read_bytes() == two.read_bytes()
 
 
@@ -310,7 +311,7 @@ def test_pool_has_at_most_one_worker_per_base(capsys, monkeypatch, stand_in_pool
 
     argv = ["sweep", "--bases", "2..3", "--format", "csv"]
     _, serial, _ = run(capsys, *argv, "--jobs", "1")
-    monkeypatch.setattr(cli_mod, "_POOL_START_UNITS", 0)
+    _free_pool(monkeypatch)
     monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 64)
     code, out, _ = run(capsys, *argv, *jobs)
     assert code == 0
@@ -321,38 +322,41 @@ def test_pool_has_at_most_one_worker_per_base(capsys, monkeypatch, stand_in_pool
 def test_benchmark_sweep_plans_in_process():
     # the benchmark's sweep does ~0.06 s of work, 0.04 s of it base 160: a
     # second worker could take ~8,000 units off the critical path, less than
-    # a pool costs to start
-    argv = ["sweep", "--bases", "2..200", "--metrics", "mb,cb", "--format", "csv",
-            "--jobs", "2", "--out", os.devnull]
+    # a pool costs to start.  sweep 2..400 could take ~24,000 off, more than
+    # the start-up, but not enough to also pay for feeding 399 tasks
+    runs = [["sweep", "--bases", "2..200", "--metrics", "mb,cb", "--format", "csv"],
+            ["sweep", "--bases", "2..400"]]
     probe = (
-        "import sys, concurrent.futures, kaprekar4.cli\n"
+        "import os, sys, concurrent.futures, kaprekar4.cli\n"
         "started = []\n"
-        "concurrent.futures.ProcessPoolExecutor = started.append\n"
-        f"code = kaprekar4.cli.main({argv!r})\n"
-        "print(code, len(started), 'concurrent.futures.process' in sys.modules)\n"
+        "class StandInPool:\n"
+        "    def __init__(self, max_workers):\n"
+        "        started.append(max_workers)\n"
+        "concurrent.futures.ProcessPoolExecutor = StandInPool\n"
+        f"for argv in {runs!r}:\n"
+        "    code = kaprekar4.cli.main([*argv, '--jobs', '2', '--out', os.devnull])\n"
+        "    print(code, started, 'concurrent.futures.process' in sys.modules)\n"
     )
-    assert _run_probe(probe) == ["0", "0", "False"]
+    assert _run_probe(probe) == ["0", "[]", "False"] * 2
 
 
 def test_mid_cost_range_plans_a_pool_largest_first(capsys, stand_in_pool):
-    _, serial, _ = run(capsys, *POOL_VERIFY, "--jobs", "1")
+    argv = ["verify", "--bases", "150..170", "--depth", "deep"]
+    _, serial, _ = run(capsys, *argv, "--jobs", "1")
     assert stand_in_pool.workers == []
-    code, out, _ = run(capsys, *POOL_VERIFY, "--jobs", "2")
+    code, out, _ = run(capsys, *argv, "--jobs", "2")
     assert code == 0
     assert stand_in_pool.workers == [2]
-    # 160 = 5*2^5 adds its whole basin to the b(b+1)/2 deep walk
-    assert stand_in_pool.bases[:3] == [160, 170, 169]
+    # 160 = 5*2^5 adds its whole basin to the deep walk, which costs more
+    # where 5 | b; the other bases follow by b(b+1)
+    assert stand_in_pool.bases[:7] == [160, 170, 165, 155, 150, 169, 168]
     assert sorted(stand_in_pool.bases) == list(range(150, 171))
     assert out == serial
 
 
-@pytest.mark.parametrize("broken_submit", [False, True])
-def test_broken_pool_names_the_lost_bases(capsys, monkeypatch, stand_in_pool, broken_submit):
-    import kaprekar4.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod, "_POOL_START_UNITS", 0)
+def test_broken_pool_names_the_lost_bases(capsys, monkeypatch, stand_in_pool):
+    _free_pool(monkeypatch)
     stand_in_pool.broken_after = 2
-    stand_in_pool.broken_submit = broken_submit
     code, out, err = run(capsys, "sweep", "--bases", "2..40", "--metrics", "mb,cb",
                          "--jobs", "2")
     assert code == 4
@@ -566,13 +570,13 @@ def test_cli_import_does_not_load_numpy():
     assert _run_probe(probe) == ["False", "False", "0", "False", "False"] + ["0", "False"] * 4
 
 
-def _pool_probe(argv, out_path, start_units=None) -> list[str]:
+def _pool_probe(argv, out_path, free_pool=False) -> list[str]:
     """Run the CLI in a fresh interpreter, writing to ``out_path``; its exit
-    code and whether the process-pool module was loaded.  ``start_units``
-    replaces the pool's estimated start-up cost."""
+    code and whether the process-pool module was loaded.  ``free_pool``
+    plans a pool whenever a second worker could shorten the run at all."""
     probe = "import sys, kaprekar4.cli\n"
-    if start_units is not None:
-        probe += f"kaprekar4.cli._POOL_START_UNITS = {start_units}\n"
+    if free_pool:
+        probe += "kaprekar4.cli._POOL_START_UNITS = kaprekar4.cli._POOL_TASK_UNITS = 0\n"
     probe += (
         f"code = kaprekar4.cli.main({[*argv, '--out', str(out_path)]!r})\n"
         "print(code, 'concurrent.futures.process' in sys.modules)\n"
@@ -582,12 +586,12 @@ def _pool_probe(argv, out_path, start_units=None) -> list[str]:
 
 def test_sweep_real_pool_matches_serial(tmp_path):
     # the goldens all run --jobs 1; this one starts a real two-worker pool,
-    # which 2..60 is too small to repay unless its start-up is free
+    # which 2..60 is too small to repay unless it is free
     argv = ["sweep", "--bases", "2..60", "--metrics", "mb,cb,sbsize,fixedpoints",
             "--format", "csv"]
     one, two = tmp_path / "one.csv", tmp_path / "two.csv"
-    assert _pool_probe([*argv, "--jobs", "1"], one, start_units=0) == ["0", "False"]
-    assert _pool_probe([*argv, "--jobs", "2"], two, start_units=0) == ["0", "True"]
+    assert _pool_probe([*argv, "--jobs", "1"], one, free_pool=True) == ["0", "False"]
+    assert _pool_probe([*argv, "--jobs", "2"], two, free_pool=True) == ["0", "True"]
     assert one.read_bytes() == two.read_bytes()
     assert one.read_text().startswith("b,m,n,")
 
@@ -600,7 +604,10 @@ def test_verify_real_pool_matches_serial(tmp_path):
     assert _pool_probe([*argv, "--jobs", "1"], one) == ["0", "False"]
     assert _pool_probe([*argv, "--jobs", "2"], two) == ["0", "True"]
     assert one.read_bytes() == two.read_bytes()
-    assert json.loads(one.read_text())["all_match"]
+    payload = json.loads(one.read_text())
+    assert payload["all_match"]
+    labels = {c["label"] for r in payload["reports"] for c in r["checks"]}
+    assert {"fixed-numerals-exist", "landing-witnesses"} <= labels
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
