@@ -133,10 +133,11 @@ def pair_distance_map(b: int) -> PairDistanceMap:
     target = fixed_pair(b)
     steps: dict[Pair, int] = {target: 0}
     frontier = [target]
+    s = 0  # each frontier is one BFS level: its new pairs lie s steps out
     while frontier:
+        s += 1
         nxt: list[Pair] = []
         for p in frontier:
-            s = steps[p] + 1
             for q in predecessors_of(p, b):
                 if not 0 <= q[1] <= q[0] < b or step_pair(q, b) != p:
                     raise RuntimeError(f"predecessor {q} of {p} misses it in base {b}")

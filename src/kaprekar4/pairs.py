@@ -16,7 +16,7 @@ from __future__ import annotations
 from array import array
 from enum import Enum
 from math import isqrt
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 from .digits import Digits, check_base
 
@@ -94,15 +94,14 @@ def _step_table(b: int) -> array:
     table = array("l")
     for d in range(b):
         for dp in range(d + 1):
-            table.append(_code(step_pair((d, dp), b)))
+            x, y = step_pair((d, dp), b)
+            table.append(x * (x + 1) // 2 + y)
     return table
 
 
-def _canonical(pair: Pair, b: int) -> Pair:
-    d, dp = pair
-    if not 0 <= dp <= d <= b - 1:
-        raise ValueError(f"({d}, {dp}) is not canonical for base {b}")
-    return pair
+def _not_canonical(d: int, dp: int, b: int) -> NoReturn:
+    """The one error for a pair outside 0 <= dp <= d < b; callers test inline."""
+    raise ValueError(f"({d}, {dp}) is not canonical for base {b}")
 
 
 def fixed_pair(b: int) -> Pair:
@@ -143,7 +142,9 @@ def _canon(x: int, y: int) -> Pair:
 
 def predecessors_of(pair: Pair, b: int) -> set[Pair]:
     """Exact preimage of a canonical pair under :func:`step_pair`, unchecked."""
-    d, dp = _canonical(pair, b)
+    d, dp = pair
+    if not 0 <= dp <= d < b:
+        _not_canonical(d, dp, b)
     if d == 0:
         return {(0, 0)}
 
@@ -193,7 +194,9 @@ def condensed_predecessors_of(pair: Pair, b: int) -> set[Pair]:
     """
     if b % 4 != 0 or b <= 4:
         raise ValueError(f"condensed predecessor rules need 4 | b and b > 4, got {b}")
-    d, dp = _canonical(pair, b)
+    d, dp = pair
+    if not 0 <= dp <= d < b:
+        _not_canonical(d, dp, b)
     if d == 0:
         return {(0, 0)}
     if dp == 0 and d == b - 1:
@@ -227,7 +230,9 @@ def pair_count(pair: Pair, b: int) -> int:
     t gives one exact closed form per pair shape: b for d = 0,
     (b-d)(12d-4) for dp = 0, 6(b-d) for d = dp, and 24(b-d)(d-dp) otherwise.
     """
-    d, dp = _canonical(pair, b)
+    d, dp = pair
+    if not 0 <= dp <= d < b:
+        _not_canonical(d, dp, b)
     if d == 0:
         return b
     if dp == 0:

@@ -120,10 +120,12 @@ def _offenders(label: str, what: str, offenders: list) -> Check:
 
 def _pair_numerals(pair: Pair, b: int):
     """One numeral value per sorted digit multiset realising ``pair``."""
+    # for one shift s the numerals (s+d, s+t+dp, s+t, s) step by b^2 + b in t
     d, dp = pair
+    step = b * b + b
     for s in range(b - d):
-        for t in range(d - dp + 1):
-            yield join_digits((s + d, s + t + dp, s + t, s), b)
+        first = join_digits((s + d, s + dp, s, s), b)
+        yield from range(first, first + (d - dp + 1) * step, step)
 
 
 def _check_fixed_numeral_landing(b: int) -> Check:
@@ -163,9 +165,8 @@ def _check_predecessor_inversion(
             row = predecessors_of(p, b)
             if len(row) != counts[c]:
                 return Check("predecessor-inversion", False, f"table wrong at {p}")
-            for q in row:
-                x, y = q
-                if not 0 <= y <= x < b or table[_code(q)] != c:
+            for x, y in row:
+                if not 0 <= y <= x < b or table[x * (x + 1) // 2 + y] != c:
                     return Check("predecessor-inversion", False, f"table wrong at {p}")
             if condensed and condensed_predecessors_of(p, b) != row:
                 return Check("predecessor-inversion", False, f"condensed rules wrong at {p}")
@@ -176,8 +177,8 @@ def _check_predecessor_inversion(
         # fall by one along each orbit in the map, so it reaches the fixed
         # pair: these rules hold exactly when the map equals the forward walk.
         dist = array("l", [-1]) * len(table)
-        for p, s in pdm.steps.items():
-            dist[_code(p)] = s
+        for (x, y), s in pdm.steps.items():
+            dist[x * (x + 1) // 2 + y] = s
         fixed = _code(pdm.fixed)
         for c, t in enumerate(table):
             s = dist[t]
@@ -291,7 +292,8 @@ def _grid_checks(b: int, n: int, table: array) -> list[Check]:
     for c, (s, k) in enumerate(zip(steps, cells)):
         if s > bound[k]:
             over.append(_pair_at(c))
-        worst[k] = max(worst[k], s)
+        if s > worst[k]:
+            worst[k] = s
     checks.append(_offenders("landing-bounds", "bound exceeded from", over[:4]))
 
     # arrival table: iterate each grid cell the stated number of steps

@@ -49,10 +49,11 @@ def test_pair_of_examples():
 
 
 def test_non_canonical_pair_rejected():
-    # canonical in base 8 means 0 <= inner <= outer <= 7
-    for pair in ((2, 6), (8, 0), (3, -1)):
+    # canonical in base 8 means 0 <= inner <= outer <= 7; each function tests
+    # that inline and raises the one message
+    for pair in ((2, 6), (8, 0), (3, -1), (-1, -1)):
         for reject in (predecessors_of, condensed_predecessors_of, pair_count):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=re.escape(f"{pair} is not canonical for base 8")):
                 reject(pair, 8)
 
 

@@ -4,11 +4,23 @@ import pytest
 
 import kaprekar4.tables as tables
 import kaprekar4.verify as verify_mod
+from kaprekar4.digits import step_value
 from kaprekar4.dynamics import pair_distance_map
-from kaprekar4.pairs import _code, _pair_at, _step_table, canonical_pairs, step_pair
+from kaprekar4.pairs import (
+    _code,
+    _pair_at,
+    _step_table,
+    canonical_pairs,
+    condensed_predecessors_of,
+    fixed_pair,
+    pair_count,
+    predecessors_of,
+    step_pair,
+)
 from kaprekar4.predictions import grid_exponent, grid_landing
 from kaprekar4.tables import cell_step_bound, cycle_cells
 from kaprekar4.verify import MATCH, MISMATCH, NOT_PREDICTED, Check, verify_base
+from oracles import oracle_pair, oracle_value
 
 
 def test_formulas_base_10():
@@ -308,17 +320,92 @@ def test_deep_verify_steps_each_pair_once(monkeypatch, b):
     # the step table steps every canonical pair once and the BFS guard every
     # reached pair once; every other pair orbit reads the table
     reached = len(pair_distance_map(b).steps)
-    calls = []
-
-    def counting(pair, base):
-        calls.append(pair)
-        return step_pair(pair, base)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("kaprekar4") and getattr(mod, "step_pair", None) is step_pair:
-            monkeypatch.setattr(mod, "step_pair", counting)
+    calls = _count_calls(monkeypatch, "step_pair", step_pair)
     assert verify_base(b, "deep").all_match
     assert len(calls) == reached + b * (b + 1) // 2
+
+
+def _count_calls(monkeypatch, name, real, when=lambda: True):
+    """Route every kaprekar4 module's ``name`` through a counter; a call is
+    counted while ``when()`` is true."""
+    calls = []
+
+    def counting(*args):
+        if when():
+            calls.append(args)
+        return real(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("kaprekar4") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("b", [20, 160, 320])
+def test_deep_verify_call_counts(monkeypatch, b):
+    # one general rule row per reached pair (the BFS), per canonical pair
+    # (predecessor-inversion) and for the fixed pair (fixed-numeral-landing);
+    # one condensed row per canonical pair when 4 | b; one count per reached
+    # pair; and inside fixed-numeral-landing one integer step per numeral on
+    # the fixed pair and on its first-generation predecessors, plus the one
+    # that finds the fixed numeral
+    reached = len(pair_distance_map(b).steps)
+    pairs = b * (b + 1) // 2
+    target = fixed_pair(b)
+    first_gen = [p for p in canonical_pairs(b) if p != target and step_pair(p, b) == target]
+    landing_steps = 1 + sum((b - d) * (d - dp + 1) for d, dp in [target, *first_gen])
+
+    inside = []
+    real_landing = verify_mod._check_fixed_numeral_landing
+
+    def landing(base):
+        inside.append(base)
+        try:
+            return real_landing(base)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(verify_mod, "_check_fixed_numeral_landing", landing)
+    rows = _count_calls(monkeypatch, "predecessors_of", predecessors_of)
+    condensed = _count_calls(monkeypatch, "condensed_predecessors_of", condensed_predecessors_of)
+    counts = _count_calls(monkeypatch, "pair_count", pair_count)
+    steps = _count_calls(monkeypatch, "step_value", step_value, when=lambda: bool(inside))
+    assert verify_base(b, "deep").all_match
+    assert len(rows) == reached + pairs + 1
+    assert len(condensed) == (pairs if b % 4 == 0 else 0)
+    assert len(counts) == reached
+    assert len(steps) == landing_steps
+    if b == 320:
+        assert (len(rows), len(counts), len(steps)) == (89962, 38601, 41409)
+
+
+def _descending_numerals_by_pair(b, spreads):
+    """Every numeral with digits a3 >= a2 >= a1 >= a0 and a3 - a0 in
+    ``spreads``, grouped by its oracle pair."""
+    out = {}
+    for d in spreads:
+        for a0 in range(b - d):
+            for a2 in range(a0, a0 + d + 1):
+                for a1 in range(a0, a2 + 1):
+                    x = oracle_value((a0 + d, a2, a1, a0), b)
+                    out.setdefault(oracle_pair(x, b), set()).add(x)
+    return out
+
+
+@pytest.mark.parametrize(
+    "b, spreads, pairs",
+    [
+        (20, range(20), list(canonical_pairs(20))),
+        # the edge pairs (0,0), (d,d), (d,0) and (b-1,dp)
+        (320, (0, 1, 319), [(0, 0), (1, 1), (1, 0), (319, 319), (319, 0), (319, 64), (319, 318)]),
+    ],
+)
+def test_pair_numerals_match_a_digit_scan(b, spreads, pairs):
+    by_pair = _descending_numerals_by_pair(b, spreads)
+    for p in pairs:
+        got = list(verify_mod._pair_numerals(p, b))
+        assert all(x < y for x, y in zip(got, got[1:])), p
+        assert set(got) == by_pair[p], p
 
 
 def _on_cycle_by_seen_set(code, table):
