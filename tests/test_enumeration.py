@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kaprekar4
@@ -26,10 +27,21 @@ def test_streamed_report_matches_full_tables():
 
 
 def test_chunk_boundaries_do_not_change_the_answer(monkeypatch):
-    # 2^4 and 5^4 fit in one chunk; 6^4 = 1296 spans two, 12^4 spans 21
+    # A chunk is max(1, 997 // b^2) whole blocks of b^2 values.  2^4, 3^4 and
+    # 5^4 fit in one short chunk; 6, 7 and 10 end on a partial last chunk
+    # (36 = 27 + 9 blocks, 49 = 20 + 20 + 9, 100 = 11 * 9 + 1); 12 ends on a
+    # full one (144 = 24 * 6); at 40, b^2 > 997 and each chunk is one block.
     monkeypatch.setattr(enumeration, "_CHUNK", 997)
-    for b in (2, 3, 5, 6, 7, 10, 12):
+    for b in (2, 3, 5, 6, 7, 10, 12, 40):
         _assert_reports_match(b)
+
+
+def test_block_columns_match_per_value_digits():
+    for b in range(2, 31):
+        want = np.unique(enumeration._step(np.arange(b**4, dtype=np.int64), b), return_counts=True)
+        images, counts = enumeration.step_table(b)
+        assert images.tolist() == want[0].tolist(), b
+        assert counts.tolist() == want[1].tolist(), b
 
 
 def test_image_set_is_small():
@@ -53,14 +65,28 @@ def test_missing_image_raises(monkeypatch):
         enumeration.distance_table(10)
 
 
-def test_base_over_limit_rejected_before_any_work(monkeypatch):
+def _no_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("stepped a base over the limit")
 
     monkeypatch.setattr(enumeration, "_step", no_work)
+    monkeypatch.setattr(enumeration, "_sorted_difference", no_work)
+
+
+def test_base_over_limit_rejected_before_any_work(monkeypatch):
+    _no_work(monkeypatch)
     with pytest.raises(ValueError, match="up to"):
         base_report(enumeration.MAX_ENUM_BASE + 1, method="enumeration")
-    assert enumeration.MAX_ENUM_BASE**4 < 2**63
+    assert enumeration.MAX_ENUM_BASE**4 < 2**31
+
+
+def test_base_past_int32_rejected_before_any_work(monkeypatch):
+    # the digit columns are int32: exact while b^4 - 1 < 2^31, so up to 215
+    monkeypatch.setattr(enumeration, "MAX_ENUM_BASE", 216)
+    enumeration._check_enum_base(215)
+    _no_work(monkeypatch)
+    with pytest.raises(ValueError, match="int32"):
+        enumeration.step_table(216)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
