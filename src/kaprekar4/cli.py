@@ -42,7 +42,6 @@ from .pairs import pair_of_digits
 from .predictions import (
     FiveMultiple,
     NoFixedPoint,
-    TwoOrFour,
     classify_base,
     fixed_point_digits,
     predict_convergent_fraction,
@@ -153,7 +152,7 @@ def parse_base_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def parse_digit_list(text: str, b: int) -> Digits:
+def parse_digit_list(text: str, b: int) -> DigitQuad:
     parts = text.split(",")
     if len(parts) != 4:
         raise UsageError(f"expected 4 comma-separated digits, got {text!r}")
@@ -161,7 +160,7 @@ def parse_digit_list(text: str, b: int) -> Digits:
         digits = tuple(int(p) for p in parts)
     except ValueError:
         raise UsageError(f"non-integer digit in {text!r}") from None
-    return DigitQuad(b, digits).digits
+    return DigitQuad(b, digits)
 
 
 # What a pool costs, in work_estimate units (~2.5 us each in-process).
@@ -259,7 +258,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     b = args.base
     check_base(b)
     if args.digits is not None:
-        start = DigitQuad(b, parse_digit_list(args.digits, b))
+        start = parse_digit_list(args.digits, b)
     else:
         start = to_digits(args.input, b)
     t = trajectory(start, max_steps=args.max_steps)
@@ -281,12 +280,9 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
 
 def _fixed_point_quads(b: int, report: BaseReport | None = None) -> list[DigitQuad]:
     """The base's fixed numerals; ``report``, when given, is ``base_report(b)``."""
-    cls = classify_base(b)
-    if isinstance(cls, NoFixedPoint):
-        return []
-    if isinstance(cls, TwoOrFour):
-        return [to_digits(v, b) for v in (report or base_report(b)).fixed_numerals]
-    return [fixed_point_digits(b)]
+    if isinstance(classify_base(b), FiveMultiple):
+        return [fixed_point_digits(b)]
+    return [to_digits(v, b) for v in (report or base_report(b)).fixed_numerals]
 
 
 def _fixed_points_text(payload: dict) -> str:
@@ -466,11 +462,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = parse_base_range(args.bases)
     bases = range(lo, hi + 1)
     # a deep verify also walks all b(b+1)/2 canonical pairs: ~2 units each
-    # when 5 | b (predecessor rows, distance and grid checks), ~1/5 of a unit
-    # otherwise (the step table alone)
+    # for FiveMultiple (predecessor rows, distance and grid checks), ~1/5 of
+    # a unit otherwise (the step table alone)
     deep = args.depth == "deep"
-    costs = [work_estimate(b) + (b * (b + 1) // (1 if b % 5 == 0 else 10) if deep else 0)
-             for b in bases]
+    costs = [
+        work_estimate(b)
+        + deep * b * (b + 1) // (1 if isinstance(classify_base(b), FiveMultiple) else 10)
+        for b in bases
+    ]
     reports = _parallel_map(_verify_worker, [(b, args.depth) for b in bases], costs, args.jobs)
     all_match = all(r["all_match"] for r in reports)
     payload = {"bases": [lo, hi], "depth": args.depth, "all_match": all_match, "reports": reports}

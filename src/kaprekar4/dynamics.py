@@ -1,12 +1,13 @@
 """Orbit analysis: trajectories, distance maps over the pair graph, and
 per-base convergence statistics.
 
-For bases divisible by 5 the pair graph is walked backwards from the
-fixed pair and each pair is weighted by how many numerals carry it.  For
-the tiny bases 2 and 4 (16 and 256 numerals) every integer orbit is run
-with :func:`trajectory`.  The numpy oracle in :mod:`kaprekar4.enumeration`
-is a third, independent route, run only on demand (``method="enumeration"``)
-and by the tests.
+Each base takes the route of its :func:`~kaprekar4.predictions.classify_base`
+class.  ``FiveMultiple``: the pair graph is walked backwards from the fixed
+pair and each pair is weighted by how many numerals carry it.  ``TwoOrFour``
+(16 and 256 numerals): every integer orbit is run with :func:`trajectory`.
+``NoFixedPoint``: an empty report.  The numpy oracle in
+:mod:`kaprekar4.enumeration` is a third, independent route, run only on
+demand (``method="enumeration"``) and by the tests.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digits import DigitQuad, check_base, join_digits, step_value, to_digits
+from .digits import DigitQuad, join_digits, step_value, to_digits
 from .pairs import (
     Pair,
     fixed_pair,
@@ -23,6 +24,7 @@ from .pairs import (
     predecessors_of,
     step_pair,
 )
+from .predictions import FiveMultiple, NoFixedPoint, TwoOrFour, classify_base
 
 
 @dataclass(frozen=True)
@@ -234,38 +236,37 @@ def base_report(b: int, method: str = "auto") -> BaseReport:
     """Convergence statistics for one base.
 
     method:
-      - "auto": pair-weighted counting for multiples of 5, the trajectory of
-        every numeral for bases 2 and 4, empty report for fixed-point-free
-        bases.
+      - "auto": the route of the base's class: pair-weighted counting for
+        ``FiveMultiple``, the trajectory of every numeral for ``TwoOrFour``,
+        an empty report for ``NoFixedPoint``.
       - "pairs": force the pair route (multiples of 5 only).
       - "enumeration": force the brute-force numpy oracle.
     """
-    check_base(b)
+    cls = classify_base(b)
     if method not in ("auto", "pairs", "enumeration"):
         raise ValueError(f"unknown method {method!r}")
     if method == "enumeration":
         from .enumeration import convergence_report
 
         return convergence_report(b)
-    if method == "auto" and b in (2, 4):
-        return _orbit_report(b)
-    if method == "pairs" or b % 5 == 0:
+    if method == "pairs" or isinstance(cls, FiveMultiple):
         return _pairs_report(pair_distance_map(b))
+    if isinstance(cls, TwoOrFour):
+        return _orbit_report(b)
     return BaseReport(b, {}, [])
 
 
 def work_estimate(b: int) -> int:
     """Units of work ``base_report(b)`` does on its route.
 
-    A unit is one reached pair for 5 | b: at most b(b+1)/2 when b = 5*2^n,
-    exactly 4^(n+1) when b = 5m*2^n with odd m > 1.  It costs ~1-3.5 us.
-    Bases 2 and 4 count 10 per numeral, about what their integer orbits
-    cost; other bases count 1.
+    A unit is one reached pair for ``FiveMultiple``: at most b(b+1)/2 when
+    m = 1, exactly 4^(n+1) when m > 1.  It costs ~1-3.5 us.  ``TwoOrFour``
+    counts 10 per numeral, about what its integer orbits cost;
+    ``NoFixedPoint`` counts 1.
     """
-    if b in (2, 4):
+    cls = classify_base(b)
+    if isinstance(cls, TwoOrFour):
         return 10 * b**4
-    if b % 5:
+    if isinstance(cls, NoFixedPoint):
         return 1
-    q = b // 5
-    low = q & -q  # 2^n
-    return b * (b + 1) // 2 if q == low else 4 * low * low
+    return b * (b + 1) // 2 if cls.m == 1 else 4 ** (cls.n + 1)

@@ -4,7 +4,10 @@ the worst-case distance, and the convergent fraction.
 Everything here is a predictor but :func:`grid_landing`, the plain walker
 the test suite checks :mod:`.verify`'s landing memo with.  Measurements live
 in :mod:`.dynamics`; the two sides are compared by :mod:`.verify` and the
-test suite, never merged.
+test suite, never merged.  :mod:`.dynamics` reads :func:`classify_base` only
+to pick each base's route, never a predicted number, and the deep checks
+``no-fixed-numeral``, ``fixed-numerals-exist`` and ``fixed-pair-unique``
+still test that classification against the pair step table.
 """
 
 from __future__ import annotations

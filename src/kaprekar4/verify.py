@@ -442,27 +442,23 @@ def verify_base(b: int, depth: str = "formulas") -> PredictionReport:
         return out
 
     table = _step_table(b)
-    if isinstance(cls, NoFixedPoint):
-        out.checks.append(_check_self_fixed("no-fixed-numeral", table, {(0, 0)}))
-        return out
-
-    out.checks.append(_check_predecessor_inversion(b, table, pdm))
-    if isinstance(cls, TwoOrFour):
-        out.checks.append(
-            Check(
-                "fixed-numerals-exist",
-                bool(report.fixed_numerals),
-                f"fixed numerals {report.fixed_numerals}",
-            )
-        )
-        return out
-
-    if not isinstance(cls, FiveMultiple):
-        raise TypeError(f"unknown base class {cls!r}")
-    out.checks.append(_check_self_fixed("fixed-pair-unique", table, {(0, 0), fixed_pair(b)}))
-    out.checks.append(_check_fixed_numeral_landing(b))
-    if cls.m > 1:
-        out.checks.extend(_basin_structure_checks(b, cls.m, cls.n, pdm))
-    elif cls.n >= 2:
-        out.checks.extend(_grid_checks(b, cls.n, table))
+    match cls:
+        case NoFixedPoint():
+            out.checks.append(_check_self_fixed("no-fixed-numeral", table, {(0, 0)}))
+        case TwoOrFour():
+            fixed = report.fixed_numerals
+            out.checks += [
+                _check_predecessor_inversion(b, table, None),
+                Check("fixed-numerals-exist", bool(fixed), f"fixed numerals {fixed}"),
+            ]
+        case FiveMultiple(m=m, n=n):
+            out.checks += [
+                _check_predecessor_inversion(b, table, pdm),
+                _check_self_fixed("fixed-pair-unique", table, {(0, 0), fixed_pair(b)}),
+                _check_fixed_numeral_landing(b),
+            ]
+            if m > 1:
+                out.checks.extend(_basin_structure_checks(b, m, n, pdm))
+            elif n >= 2:
+                out.checks.extend(_grid_checks(b, n, table))
     return out

@@ -4,8 +4,10 @@ import pytest
 
 from kaprekar4.digits import DigitQuad, join_digits, to_digits
 from kaprekar4.dynamics import (
+    BaseReport,
     Cycle,
     FixedNumeral,
+    PairDistanceMap,
     UndeterminedOrbitError,
     ZeroSink,
     _orbit_report,
@@ -16,8 +18,8 @@ from kaprekar4.dynamics import (
     trajectory,
     work_estimate,
 )
-from kaprekar4.pairs import canonical_pairs, pair_count, step_pair
-from kaprekar4.predictions import classify_base
+from kaprekar4.pairs import canonical_pairs, fixed_pair, pair_count, step_pair
+from kaprekar4.predictions import FiveMultiple, NoFixedPoint, TwoOrFour, classify_base
 from oracles import (
     full_report,
     oracle_distance,
@@ -154,7 +156,37 @@ def test_work_estimate_bounds_the_pair_route():
             assert reached == estimate, b
 
 
-def test_work_estimate_of_other_routes():
+def test_work_estimate_of_other_routes(monkeypatch):
+    # each base runs exactly the route of its class, and its estimate is
+    # that route's formula, written here from b alone
+    import kaprekar4.dynamics as dynamics_mod
+
+    routes = []
+
+    def orbits(b):
+        routes.append("orbits")
+        return BaseReport(b, {}, [])
+
+    def pairs(b):
+        routes.append("pairs")
+        return PairDistanceMap(b, fixed_pair(b), {fixed_pair(b): 0})
+
+    monkeypatch.setattr(dynamics_mod, "_orbit_report", orbits)
+    monkeypatch.setattr(dynamics_mod, "pair_distance_map", pairs)
+    want_route = {TwoOrFour: ["orbits"], FiveMultiple: ["pairs"], NoFixedPoint: []}
+    for b in range(2, 401):
+        routes.clear()
+        base_report(b)
+        assert routes == want_route[type(classify_base(b))], b
+        if b in (2, 4):
+            want = 10 * b**4
+        elif b % 5:
+            want = 1
+        elif (b // 5) & (b // 5 - 1) == 0:  # b = 5 * 2^n
+            want = b * (b + 1) // 2
+        else:  # 4^(n+1) for b = 5m * 2^n, m > 1 odd
+            want = 4 * (b & -b) ** 2
+        assert work_estimate(b) == want, b
     assert [work_estimate(b) for b in (2, 3, 4, 6, 65536)] == [160, 1, 2560, 1, 1]
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import kaprekar4
-from kaprekar4 import enumeration
+from kaprekar4 import dynamics, enumeration
 from kaprekar4.dynamics import base_report
 from oracles import full_report
 
@@ -121,3 +121,17 @@ def test_enumeration_does_not_import_pairs():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not {m for m in imported if m.split(".")[-1] == "pairs"}, imported
+
+
+def test_dynamics_reads_only_the_classification_from_predictions():
+    # the measurement may pick its route by class, never read a predicted number
+    tree = ast.parse(Path(dynamics.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "predictions":
+                names.update(alias.name for alias in node.names)
+            assert "predictions" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not [a for a in node.names if a.name.split(".")[-1] == "predictions"]
+    assert names <= {"classify_base", "FiveMultiple", "NoFixedPoint", "TwoOrFour"}, names
