@@ -59,14 +59,6 @@ FIXED_POINTS_COLUMNS = ("b", "value", "d3", "d2", "d1", "d0", "pair_outer", "pai
 SWEEP_METRICS = ("mb", "cb", "sbsize", "fixedpoints")
 # the metrics that need base_report
 _REPORT_METRICS = frozenset({"mb", "cb", "sbsize"})
-_JOBS_HELP = (
-    "most worker processes (default: all cores); small runs stay in-process, a pool"
-    " starts the largest bases first, and the output does not depend on either"
-)
-
-
-class UsageError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +106,13 @@ def _grid(columns, rows: list[dict]) -> list[list[str]]:
     return [list(columns)] + [[cell(row[c]) for c in columns] for row in rows]
 
 
-def _csv(columns, rows: list[dict]) -> str:
-    return "".join(",".join(line) + "\n" for line in _grid(columns, rows))
-
-
 def _write(args: argparse.Namespace, payload: dict, text, columns=(), rows=()) -> None:
     """Write ``payload`` as ``args.format`` to ``--out`` or stdout: JSON as is,
     CSV as the table ``columns`` x ``rows``, text as ``text(payload)``."""
     if args.format == "json":
         out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
-        out = _csv(columns, rows)
+        out = "".join(",".join(line) + "\n" for line in _grid(columns, rows))
     else:
         out = text(payload)
     if args.out is None:
@@ -144,9 +132,9 @@ def parse_base_range(text: str) -> tuple[int, int]:
         else:
             raise ValueError
     except ValueError:
-        raise UsageError(f"malformed base range {text!r}; expected LO..HI") from None
+        raise ValueError(f"malformed base range {text!r}; expected LO..HI") from None
     if lo > hi:
-        raise UsageError(f"empty base range {text!r}")
+        raise ValueError(f"empty base range {text!r}")
     check_base(lo)
     check_base(hi)
     return lo, hi
@@ -155,11 +143,11 @@ def parse_base_range(text: str) -> tuple[int, int]:
 def parse_digit_list(text: str, b: int) -> DigitQuad:
     parts = text.split(",")
     if len(parts) != 4:
-        raise UsageError(f"expected 4 comma-separated digits, got {text!r}")
+        raise ValueError(f"expected 4 comma-separated digits, got {text!r}")
     try:
         digits = tuple(int(p) for p in parts)
     except ValueError:
-        raise UsageError(f"non-integer digit in {text!r}") from None
+        raise ValueError(f"non-integer digit in {text!r}") from None
     return DigitQuad(b, digits)
 
 
@@ -185,7 +173,7 @@ def _parallel_map(worker, tasks, costs: list[int], jobs: int | None):
     most expensive tasks first; the rows come back in task order.
     """
     if jobs is not None and jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {jobs}")
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
     # at most one worker per task: the pool forks all its workers at once
     jobs = min(jobs or os.cpu_count() or 1, len(tasks))
     total = sum(costs)
@@ -367,7 +355,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     metrics = list(dict.fromkeys(m.strip() for m in args.metrics.split(",") if m.strip()))
     bad = [m for m in metrics if m not in SWEEP_METRICS]
     if bad or not metrics:
-        raise UsageError(f"metrics must be a non-empty subset of {SWEEP_METRICS}")
+        raise ValueError(f"metrics must be a non-empty subset of {SWEEP_METRICS}")
     bases = range(lo, hi + 1)
     # fixedpoints alone measures nothing but bases 2 and 4
     measured = bool(_REPORT_METRICS.intersection(metrics))
@@ -397,7 +385,7 @@ def _histogram_text(payload: dict) -> str:
 def cmd_histogram(args: argparse.Namespace) -> int:
     b = args.base
     if isinstance(classify_base(b), NoFixedPoint):
-        raise UsageError(f"base {b} has no non-zero fixed point")
+        raise ValueError(f"base {b} has no non-zero fixed point")
     report = base_report(b)
     total = report.convergent_count
     rows = []
@@ -488,46 +476,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Four-digit digit-rearrangement dynamics in any base",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = []  # (subparser, its formats, whether it takes --bases)
 
-    p = sub.add_parser("trajectory", help="iterate one numeral to its terminal")
-    p.add_argument("--base", type=int, required=True)
+    def command(name, func, help, *, many=False, formats=("text", "json", "csv")):
+        # led by --base, or by --bases when many
+        p = sub.add_parser(name, help=help)
+        if many:
+            p.add_argument("--bases", type=str, required=True, help="range LO..HI")
+        else:
+            p.add_argument("--base", type=int, required=True)
+        p.set_defaults(func=func)
+        commands.append((p, formats, many))
+        return p
+
+    p = command("trajectory", cmd_trajectory, "iterate one numeral to its terminal",
+                formats=("text", "json"))
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--input", type=int, help="start value as a decimal integer < base^4")
     group.add_argument("--digits", type=str, help="start digits a3,a2,a1,a0 (decimal components)")
     p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_trajectory)
 
-    p = sub.add_parser("fixed-points", help="list the non-zero fixed numerals of a base")
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_fixed_points)
+    command("fixed-points", cmd_fixed_points, "list the non-zero fixed numerals of a base")
 
-    p = sub.add_parser("sweep", help="per-base metrics over a range of bases")
-    p.add_argument("--bases", type=str, required=True, help="range LO..HI")
+    p = command("sweep", cmd_sweep, "per-base metrics over a range of bases", many=True)
     p.add_argument("--metrics", type=str, default="mb,cb,sbsize")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("histogram", help="distance distribution of one base")
-    p.add_argument("--base", type=int, required=True)
+    p = command("histogram", cmd_histogram, "distance distribution of one base")
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_histogram)
 
-    p = sub.add_parser("verify", help="compare predictions against measurements")
-    p.add_argument("--bases", type=str, required=True, help="range LO..HI")
+    p = command("verify", cmd_verify, "compare predictions against measurements", many=True,
+                formats=("text", "json"))
     p.add_argument("--depth", choices=DEPTHS, default="formulas")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
-    p.set_defaults(func=cmd_verify)
 
+    # shared flags follow each command's own, the order --help lists them in
+    for p, formats, many in commands:
+        p.add_argument("--format", choices=formats, default="text")
+        p.add_argument("--out", type=str, default=None)
+        if many:
+            p.add_argument("--jobs", type=int, default=None, help="most worker processes"
+                           " (default: all cores); small runs stay in-process, a pool starts"
+                           " the largest bases first, and the output does not depend on either")
     return parser
 
 

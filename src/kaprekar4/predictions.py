@@ -1,7 +1,8 @@
 """Closed-form predictions: which bases have a fixed numeral, its digits,
 the worst-case distance, and the convergent fraction.
 
-Everything here is a predictor but :func:`grid_landing`, the plain walker
+Everything here is a predictor but :func:`grid_landing`, its result
+:class:`GridLanding` and its guard :func:`grid_exponent`: the plain walker
 the test suite checks :mod:`.verify`'s landing memo with.  Measurements live
 in :mod:`.dynamics`; the two sides are compared by :mod:`.verify` and the
 test suite, never merged.  :mod:`.dynamics` reads :func:`classify_base` only

@@ -5,8 +5,9 @@ dynamics of one base.  Depth "formulas" checks the two headline numbers;
 depth "deep" also exercises the structural claims behind them (predecessor
 tables, basin structure, grid landing bounds, the literal data tables, and
 integer-level cycle entries).  Mismatches, a rule row missing a candidate
-among them, are reported as data (exit 1); only a rule candidate that misses
-its target raises, from :func:`pair_distance_map`'s guard (exit 4).
+among them, are reported as data (exit 1).  Two faults raise (exit 4): a rule
+candidate that misses its target, in :func:`pair_distance_map`'s guard, and
+a pair past the 2n + 8 landing budget, in ``_grid_landings``.
 
 The deep checks of one base share two results: the distance map, which also
 gives the measured numbers, and the step table of :mod:`pairs`.  The checks

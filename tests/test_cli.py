@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from kaprekar4.cli import (
     FIXED_POINTS_COLUMNS,
     HISTOGRAM_COLUMNS,
     SWEEP_COLUMNS,
+    build_parser,
     fraction_to_decimal,
     main,
     parse_base_range,
@@ -112,6 +114,80 @@ def test_trajectory_undetermined_exit_3(capsys):
 def test_usage_error_exit_2(capsys):
     assert main(["trajectory", "--base", "10"]) == 2  # neither --input nor --digits
     assert main(["nonsense"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# option table
+# ---------------------------------------------------------------------------
+
+# each subcommand's actions after -h, in declaration order:
+# (option strings, action, type, choices, default, required)
+_FORMAT_TJ = (("--format",), "store", None, ("text", "json"), "text", False)
+_FORMAT_TJC = (("--format",), "store", None, ("text", "json", "csv"), "text", False)
+_OUT = (("--out",), "store", str, None, None, False)
+_BASE = (("--base",), "store", int, None, None, True)
+_BASES = (("--bases",), "store", str, None, None, True)
+_JOBS = (("--jobs",), "store", int, None, None, False)
+OPTION_TABLE = {
+    "trajectory": [
+        _BASE,
+        (("--input",), "store", int, None, None, False),
+        (("--digits",), "store", str, None, None, False),
+        (("--max-steps",), "store", int, None, None, False),
+        _FORMAT_TJ,
+        _OUT,
+    ],
+    "fixed-points": [_BASE, _FORMAT_TJC, _OUT],
+    "sweep": [
+        _BASES,
+        (("--metrics",), "store", str, None, "mb,cb,sbsize", False),
+        _FORMAT_TJC,
+        _OUT,
+        _JOBS,
+    ],
+    "histogram": [
+        _BASE,
+        (("--normalize",), "store_true", None, None, False, False),
+        _FORMAT_TJC,
+        _OUT,
+    ],
+    "verify": [
+        _BASES,
+        (("--depth",), "store", None, ("formulas", "deep"), "formulas", False),
+        _FORMAT_TJ,
+        _OUT,
+        _JOBS,
+    ],
+}
+
+
+def _option_row(action):
+    kind = {
+        argparse._StoreAction: "store",
+        argparse._StoreTrueAction: "store_true",
+    }.get(type(action), type(action).__name__)
+    choices = None if action.choices is None else tuple(action.choices)
+    return (tuple(action.option_strings), kind, action.type, choices, action.default,
+            action.required)
+
+
+def test_option_table_is_pinned():
+    parser = build_parser()
+    top = parser._actions
+    assert [type(a) for a in top] == [argparse._HelpAction, argparse._SubParsersAction]
+    sub = top[1]
+    assert (sub.dest, sub.required) == ("command", True)
+    assert list(sub.choices) == list(OPTION_TABLE)
+    for name, rows in OPTION_TABLE.items():
+        p = sub.choices[name]
+        assert type(p._actions[0]) is argparse._HelpAction
+        assert [_option_row(a) for a in p._actions[1:]] == rows, name
+        assert p.get_default("func").__name__ == "cmd_" + name.replace("-", "_")
+        groups = [
+            (g.required, [a.option_strings for a in g._group_actions])
+            for g in p._mutually_exclusive_groups
+        ]
+        assert groups == ([(True, [["--input"], ["--digits"]])] if name == "trajectory" else [])
 
 
 # ---------------------------------------------------------------------------

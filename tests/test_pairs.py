@@ -247,29 +247,38 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
-# kaprekar4's public names: a name joins or leaves the surface only here
+# kaprekar4's public names: the library's entry points and the types they
+# return or raise.  A name joins or leaves the top level only here
 PUBLIC = {
-    # digits
-    "DigitQuad", "join_digits", "split_digits", "step_value", "to_digits",
-    # dynamics
-    "BaseReport", "Cycle", "FixedNumeral", "PairDistanceMap", "Terminal", "Trajectory",
-    "UndeterminedOrbitError", "ZeroSink", "base_report", "fixed_numeral_value",
-    "integer_distance", "pair_distance_map", "trajectory",
-    # pairs
-    "PairType", "canonical_pairs", "fixed_pair", "pair_count", "pair_of_digits", "step_pair",
-    # predictions
-    "BaseClass", "FiveMultiple", "GridLanding", "NoFixedPoint", "TwoOrFour", "classify_base",
-    "fixed_point_digits", "grid_landing", "predict_convergent_fraction",
-    "predict_max_distance",
-    # tables
-    "GridArrival", "LandingWitness", "cell_step_bound", "cycle_cells",
-    "grid_arrival", "landing_bound", "landing_witnesses", "max_total_steps",
-    # verify
-    "Check", "PredictionReport", "verify_base",
+    # entry points
+    "base_report", "trajectory", "to_digits", "step_value", "verify_base",
+    "predict_max_distance", "predict_convergent_fraction",
+    # the types they return or raise
+    "DigitQuad", "BaseReport", "Trajectory", "FixedNumeral", "ZeroSink", "Cycle",
+    "UndeterminedOrbitError", "PredictionReport", "Check",
+}
+
+# names that left the top level, each still defined in its module
+MODULE_ONLY = {
+    "join_digits": "digits", "split_digits": "digits",
+    "PairDistanceMap": "dynamics", "Terminal": "dynamics",
+    "fixed_numeral_value": "dynamics", "integer_distance": "dynamics",
+    "pair_distance_map": "dynamics",
+    "PairType": "pairs", "canonical_pairs": "pairs", "fixed_pair": "pairs",
+    "pair_count": "pairs", "pair_of_digits": "pairs", "step_pair": "pairs",
+    "BaseClass": "predictions", "FiveMultiple": "predictions",
+    "NoFixedPoint": "predictions", "TwoOrFour": "predictions",
+    "classify_base": "predictions", "fixed_point_digits": "predictions",
+    "GridLanding": "predictions", "grid_landing": "predictions",
+    "GridArrival": "tables", "LandingWitness": "tables", "cell_step_bound": "tables",
+    "cycle_cells": "tables", "grid_arrival": "tables", "landing_bound": "tables",
+    "landing_witnesses": "tables", "max_total_steps": "tables",
 }
 
 
 def test_public_names_are_pinned():
+    import importlib
+    import inspect
     import types
 
     import kaprekar4
@@ -281,7 +290,15 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC
-    assert len(PUBLIC) == 45
+    assert len(PUBLIC) == 16
+    # narrowing the top level removed no capability
+    assert len(MODULE_ONLY) == 29 and not PUBLIC & MODULE_ONLY.keys()
+    for name, mod in MODULE_ONLY.items():
+        value = getattr(importlib.import_module(f"kaprekar4.{mod}"), name)
+        # BaseClass and Terminal are unions of classes
+        for member in value.__args__ if isinstance(value, types.UnionType) else (value,):
+            assert inspect.isclass(member) or inspect.isfunction(member), name
+            assert member.__module__ == f"kaprekar4.{mod}", name
 
 
 def test_result_fields_are_pinned():
