@@ -8,8 +8,9 @@ four signed differences as one base-b number), and preimages/counts come
 from exhaustive scans.  Pair distances come from a forward walk of every
 pair orbit (the package walks predecessors backwards).
 The full-table helpers hold one entry per value of [0, b^4), sorted with
-``np.sort`` (the package streams chunks through a comparator network and
-keeps only the image set), so they are the reference for small bases.
+``np.sort`` (the package steps each sorted digit quadruple once, weighed
+by its arrangements, and keeps only the image set), so they are the
+reference for small bases.
 """
 
 from __future__ import annotations

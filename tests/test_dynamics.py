@@ -267,8 +267,9 @@ def test_base_report_no_fixed_point():
 
 
 def test_base_report_methods_agree():
-    # every multiple of 5 up to 60, field by field
-    for b in range(5, 61, 5):
+    # every multiple of 5 up to 60, field by field, then 80 (5 * 2^4, whose
+    # convergent fraction is not predicted) and 120 (5 * 3 * 2^3)
+    for b in (*range(5, 61, 5), 80, 120):
         via_pairs = base_report(b, method="pairs")
         via_enum = base_report(b, method="enumeration")
         assert via_pairs.max_distance == via_enum.max_distance, b

@@ -27,16 +27,17 @@ def test_streamed_report_matches_full_tables():
 
 
 def test_chunk_boundaries_do_not_change_the_answer(monkeypatch):
-    # A chunk is max(1, 997 // b^2) whole blocks of b^2 values.  2^4, 3^4 and
-    # 5^4 fit in one short chunk; 6, 7 and 10 end on a partial last chunk
-    # (36 = 27 + 9 blocks, 49 = 20 + 20 + 9, 100 = 11 * 9 + 1); 12 ends on a
-    # full one (144 = 24 * 6); at 40, b^2 > 997 and each chunk is one block.
+    # The stream holds C(b+3, 4) sorted quadruples in rows (a3, a2) of
+    # (a2+1)(a2+2)/2 each.  With 997 per chunk, 2, 3, 5, 6, 7 and 10 (up to
+    # 715 quadruples) fit in one short chunk; 12 (1,365) and 40 span several
+    # chunks that end mid-row; at 46 and 50 the rows with a2 >= 44 hold more
+    # than 997 quadruples and are split across two chunks or more.
     monkeypatch.setattr(enumeration, "_CHUNK", 997)
-    for b in (2, 3, 5, 6, 7, 10, 12, 40):
+    for b in (2, 3, 5, 6, 7, 10, 12, 40, 46, 50):
         _assert_reports_match(b)
 
 
-def test_block_columns_match_per_value_digits():
+def test_quadruple_stream_matches_per_value_steps():
     for b in range(2, 31):
         want = np.unique(enumeration._step(np.arange(b**4, dtype=np.int64), b), return_counts=True)
         images, counts = enumeration.step_table(b)
@@ -65,51 +66,65 @@ def test_missing_image_raises(monkeypatch):
         enumeration.distance_table(10)
 
 
+@pytest.mark.parametrize("row", range(8))
+def test_wrong_weight_row_raises(monkeypatch, row):
+    # every row of the weight table occurs at b = 10; one arrangement too
+    # many anywhere makes the counts miss b^4
+    weights = enumeration._WEIGHTS.copy()
+    weights[row] += 1
+    monkeypatch.setattr(enumeration, "_WEIGHTS", weights)
+    with pytest.raises(RuntimeError, match="b\\^4"):
+        enumeration.step_table(10)
+
+
 def _no_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("stepped a base over the limit")
 
-    monkeypatch.setattr(enumeration, "_step", no_work)
-    monkeypatch.setattr(enumeration, "_sorted_difference", no_work)
+    for name in ("_stream", "_chunk_keys", "_step", "_sorted_difference"):
+        monkeypatch.setattr(enumeration, name, no_work)
 
 
 def test_base_over_limit_rejected_before_any_work(monkeypatch):
     _no_work(monkeypatch)
     with pytest.raises(ValueError, match="up to"):
         base_report(enumeration.MAX_ENUM_BASE + 1, method="enumeration")
-    assert enumeration.MAX_ENUM_BASE**4 < 2**31
+    assert 8 * enumeration.MAX_ENUM_BASE**4 <= 2**63
 
 
-def test_base_past_int32_rejected_before_any_work(monkeypatch):
-    # the digit columns are int32: exact while b^4 - 1 < 2^31, so up to 215
-    monkeypatch.setattr(enumeration, "MAX_ENUM_BASE", 216)
-    enumeration._check_enum_base(215)
+def test_base_past_int64_keys_rejected_before_any_work(monkeypatch):
+    # a key is 8 K + the weight row, below 8 b^4: int64 holds it up to 2^15
+    monkeypatch.setattr(enumeration, "MAX_ENUM_BASE", 1 << 16)
+    enumeration._check_enum_base(1 << 15)
     _no_work(monkeypatch)
-    with pytest.raises(ValueError, match="int32"):
-        enumeration.step_table(216)
+    with pytest.raises(ValueError, match="int64"):
+        enumeration.step_table((1 << 15) + 1)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
 def test_memory_bounded_at_base_64():
-    # The full per-value tables needed about 1 GB here.  VmHWM is the peak
+    # The full per-value tables needed about 1 GB at 64.  VmHWM is the peak
     # RSS of the child's own image; ru_maxrss would carry over the parent's.
-    probe = (
-        "import kaprekar4\n"
-        "r = kaprekar4.base_report(64, method='enumeration')\n"
-        "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
-        "print(r.convergent_count, hwm[0].split()[1])\n"
-    )
+    # 64 is not a multiple of 5 and has no fixed numeral; 120 is, and its
+    # count must equal the pair route's.
     src = os.path.dirname(os.path.dirname(kaprekar4.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    count, peak_kb = map(int, out.stdout.split())
-    assert count == 0  # 64 is not a multiple of 5 and has no fixed numeral
-    assert peak_kb < 100 * 1024
+    for b in (64, 120):
+        probe = (
+            "import kaprekar4\n"
+            f"r = kaprekar4.base_report({b}, method='enumeration')\n"
+            "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
+            "print(r.convergent_count, hwm[0].split()[1])\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        count, peak_kb = map(int, out.stdout.split())
+        assert count == base_report(b).convergent_count, b
+        assert peak_kb < 100 * 1024, b
 
 
 def test_enumeration_does_not_import_pairs():
