@@ -5,10 +5,12 @@ reduction.  K depends only on a value's digit multiset, so each sorted
 digit quadruple a3 >= a2 >= a1 >= a0 is stepped once, as its descending
 minus its ascending numeral, and stands for its 24 / prod(run length!)
 arrangements in [0, b^4): C(b+3, 4), about b^4/24, steps in all.  The
-quadruples are streamed in fixed chunks and only their distinct images
-are kept, with how many values map to each, so memory is O(b^2 + chunk)
-while time stays O(b^4).  Distances are solved on that image set, which
-the step maps into itself; a value's distance is one more than its image's.
+quadruples are streamed in fixed chunks.  One sort-and-sum keeps only
+the distinct images, with how many values map to each: a chunk's sorted
+keys are summed per image, then the chunk and the table are stably
+sorted together and summed the same way.  Memory is O(b^2 + chunk), time
+O(b^4).  Distances are solved on that image set, which the step maps
+into itself; a value's distance is one more than its image's.
 """
 
 from __future__ import annotations
@@ -21,23 +23,18 @@ from .digits import check_base
 from .dynamics import BaseReport
 
 # The route streams, so time, not memory, bounds it: on a 2-core Xeon
-# b = 320 (4.5*10^8 quadruples) took 48-56 s at 35 MB, most of it merging
-# each chunk's images into the table.  Keys are int64; _check_enum_base
-# also refuses a base whose keys would not fit.
+# b = 320 (4.5*10^8 quadruples) took 28-41 s at 36 MB.  Keys are int64;
+# _check_enum_base also refuses a base whose keys would not fit.
 MAX_ENUM_BASE = 320
 # quadruples per chunk; a longer row is split across chunks.  Every chunk
 # merges its images into the table, so larger chunks are faster at large
-# b: 2^14 took 2.8-3.7 s at b = 180 where 2^13 took 4.2-4.9 s.  2^15 was
-# faster still, but its 256 KB temporaries raised the b = 40 peak RSS by
-# 1.3 MB, where 2^14 (128 KB) stayed within 0.3 MB of 2^13.
+# b: at b = 180, 2^13 took 2.8-4.4 s, 2^14 2.4-2.6 s and 2^15 1.9-2.0 s,
+# but 2^15 (256 KB temporaries) raised the b = 40 peak RSS by 1.2 MB.
 _CHUNK = 1 << 14
 
 # a sorted quadruple's arrangements, 24 / prod(run length!), indexed by
 # 4 (a3 == a2) + 2 (a2 == a1) + (a1 == a0)
 _WEIGHTS = np.array([24, 12, 12, 4, 12, 6, 4, 1], dtype=np.int64)
-
-# comparator network that sorts four columns ascending
-_NETWORK = ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))
 
 
 def _check_enum_base(b: int) -> None:
@@ -49,43 +46,20 @@ def _check_enum_base(b: int) -> None:
 
 
 def _step(x: np.ndarray, b: int) -> np.ndarray:
-    """K-image of each value in the int64 array ``x``, split into digits by division."""
-    cols = []
-    for _ in range(3):
-        x, r = np.divmod(x, b)
-        cols.append(r)
-    cols.append(x)
-    return _sorted_difference(cols, b)
+    """K-image of each int64 value in ``x``: its sorted digits' descending minus ascending numeral."""
+    d = np.empty((4, x.size), dtype=np.int64)
+    for k in range(4):
+        x, d[k] = np.divmod(x, b)
+    d.sort(axis=0)
+    asc = ((d[0] * b + d[1]) * b + d[2]) * b + d[3]
+    desc = ((d[3] * b + d[2]) * b + d[1]) * b + d[0]
+    return desc - asc
 
 
-def _sorted_difference(cols: list[np.ndarray], b: int) -> np.ndarray:
-    """Descending minus ascending numeral of four digit columns, lowest first.
-
-    The comparator network sorts the columns, reordering the list.  Its
-    first two comparators read each input array once and write new arrays,
-    so the input arrays are never changed; from there on it works in place
-    on its own temporaries.
-    """
-    for n, (i, j) in enumerate(_NETWORK):
-        cols[i], cols[j] = (np.minimum(cols[i], cols[j]),
-                            np.maximum(cols[i], cols[j], out=cols[j] if n >= 2 else None))
-    desc, asc = cols[3].copy(), cols[0]
-    for k in (2, 1, 0):
-        desc *= b
-        desc += cols[k]
-    for k in (1, 2, 3):
-        asc *= b
-        asc += cols[k]
-    desc -= asc
-    return desc
-
-
-def _positions(table: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each of ``vals`` sits in the ascending ``table``, and whether it is there."""
-    pos = np.searchsorted(table, vals)
-    found = pos < table.size
-    found[found] = table[pos[found]] == vals[found]
-    return pos, found
+def _group_sum(vals: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the ascending ``vals``, each with the sum of its ``weights``."""
+    starts = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
+    return vals[starts], np.add.reduceat(weights, starts)
 
 
 def _stream(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -130,24 +104,20 @@ def step_table(b: int) -> tuple[np.ndarray, np.ndarray]:
     _check_enum_base(b)
     stream = _stream(b)
     total = comb(b + 3, 4)
-    images = np.empty(0, dtype=np.int64)
-    counts = np.empty(0, dtype=np.int64)
+    images = counts = np.empty(0, dtype=np.int64)
     for s in range(0, total, _CHUNK):
         # sorted keys group each image's quadruples; the low 3 bits weigh them
         keys = _chunk_keys(stream, s, min(s + _CHUNK, total))
         keys.sort()
-        k = keys >> 3
-        starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-        vals, cnts = k[starts], np.add.reduceat(_WEIGHTS[keys & 7], starts)
-        pos, found = _positions(images, vals)
-        if not found.all():
-            # not np.union1d: its plain np.unique imports numpy.ma on first use
-            merged = np.sort(np.concatenate((images, vals[~found])))
-            grown = np.zeros(merged.size, dtype=np.int64)
-            grown[np.searchsorted(merged, images)] = counts
-            images, counts = merged, grown
-            pos = np.searchsorted(images, vals)
-        counts[pos] += cnts
+        vals, cnts = _group_sum(keys >> 3, _WEIGHTS[keys & 7])
+        # a stable sort merges the two ascending runs in one pass; each
+        # rebinding frees a table-sized array.  Not np.union1d or np.unique:
+        # their plain np.unique imports numpy.ma on first use
+        images = np.concatenate((images, vals))
+        order = np.argsort(images, kind="stable")
+        images = images[order]
+        counts = np.concatenate((counts, cnts))[order]
+        images, counts = _group_sum(images, counts)
     if int(counts.sum()) != b**4:
         raise RuntimeError(f"base {b}: the weighted quadruples do not count b^4 values")
     return images, counts
@@ -162,8 +132,8 @@ def distance_table(b: int):
     """
     images, counts = step_table(b)
     nxt = _step(images, b)
-    succ, found = _positions(images, nxt)
-    if not found.all():
+    succ = np.searchsorted(images, nxt)
+    if not np.array_equal(images[np.minimum(succ, images.size - 1)], nxt):
         raise RuntimeError(f"base {b}: an image's image is missing from the image table")
     fixed = np.flatnonzero((nxt == images) & (images != 0))
     fixed_values = images[fixed]

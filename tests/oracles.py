@@ -7,10 +7,12 @@ rearrangements to integers and subtracts them (the package's
 four signed differences as one base-b number), and preimages/counts come
 from exhaustive scans.  Pair distances come from a forward walk of every
 pair orbit (the package walks predecessors backwards).
-The full-table helpers hold one entry per value of [0, b^4), sorted with
-``np.sort`` (the package steps each sorted digit quadruple once, weighed
-by its arrangements, and keeps only the image set), so they are the
-reference for small bases.
+The full-table helpers step every value of [0, b^4), each with its own
+digits sorted by ``np.sort``, and solve distances value by value on that
+whole table (the package steps each sorted digit quadruple once, weighed
+by its arrangements, sums the weights per image by sorting, and solves
+distances only on the image set), so they are the reference for small
+bases.
 """
 
 from __future__ import annotations
