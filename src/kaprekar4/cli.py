@@ -13,9 +13,11 @@ worker processes, a run whose estimate does not cover a pool's measured
 start-up and per-task cost stays in-process, and a pool starts the most
 expensive bases first.  Rows are written in base order, so the output does
 not depend on the plan.
+``sweep``'s match cells and ``verify``'s verdicts both come from
+:func:`~kaprekar4.verify.judge`.
 Exit codes: 0 success / all checks match, 1 verification mismatch, 2 usage
-error, 3 undetermined orbit, 4 internal error (a crash, out of memory, a
-broken worker pool).
+error or an output that cannot be written, 3 undetermined orbit, 4 internal
+error (a crash, out of memory, a worker pool that breaks or cannot start).
 """
 
 from __future__ import annotations
@@ -39,15 +41,8 @@ from .dynamics import (
     work_estimate,
 )
 from .pairs import pair_of_digits
-from .predictions import (
-    FiveMultiple,
-    NoFixedPoint,
-    classify_base,
-    fixed_point_digits,
-    predict_convergent_fraction,
-    predict_max_distance,
-)
-from .verify import DEPTHS, NOT_PREDICTED, verify_base
+from .predictions import FiveMultiple, classify_base, fixed_point_digits
+from .verify import DEPTHS, MATCH, MISMATCH, NOT_PREDICTED, judge, verify_base
 
 # CSV columns: the keys of a JSON row, in order
 SWEEP_COLUMNS = (
@@ -108,18 +103,23 @@ def _grid(columns, rows: list[dict]) -> list[list[str]]:
 
 def _write(args: argparse.Namespace, payload: dict, text, columns=(), rows=()) -> None:
     """Write ``payload`` as ``args.format`` to ``--out`` or stdout: JSON as is,
-    CSV as the table ``columns`` x ``rows``, text as ``text(payload)``."""
+    CSV as the table ``columns`` x ``rows``, text as ``text(payload)``.  A
+    destination that cannot be written raises ``ValueError`` naming it."""
     if args.format == "json":
         out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
         out = "".join(",".join(line) + "\n" for line in _grid(columns, rows))
     else:
         out = text(payload)
-    if args.out is None:
-        sys.stdout.write(out)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(out)
+    try:
+        if args.out is None:
+            sys.stdout.write(out)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(out)
+    except OSError as exc:
+        dest = "stdout" if args.out is None else args.out
+        raise ValueError(f"cannot write {dest}: {exc.strerror or exc}") from exc
 
 
 def parse_base_range(text: str) -> tuple[int, int]:
@@ -304,36 +304,36 @@ def cmd_fixed_points(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _match(predicted, measured) -> bool | None:
-    if predicted is None or measured is None:
-        return None
-    return predicted == measured
-
-
 def _sweep_worker(task: tuple[int, frozenset[str]]) -> dict:
-    """One JSON row of the sweep; ``fixed_points`` only when asked for."""
+    """One JSON row of the sweep; ``fixed_points`` only when asked for.
+
+    The mb and cb cells are :func:`~kaprekar4.verify.judge`'s, the verdicts
+    of ``verify``: a match is true, a mismatch false, not-predicted null.
+    """
     b, metrics = task
     cls = classify_base(b)
     five = isinstance(cls, FiveMultiple)
-    report = None
-    if not isinstance(cls, NoFixedPoint) and metrics & _REPORT_METRICS:
-        report = base_report(b)
-    measured = report.max_distance if report and "mb" in metrics else None
-    predicted = predict_max_distance(b) if "mb" in metrics else None
-    fraction = report.convergent_fraction if report and "cb" in metrics else None
-    predicted_fraction = predict_convergent_fraction(b) if "cb" in metrics else None
+    report = base_report(b) if metrics & _REPORT_METRICS else None
+    judged = judge(report) if "mb" in metrics or "cb" in metrics else None
+    mb = judged if "mb" in metrics else None
+    cb = judged if "cb" in metrics else None
+    fraction = cb.measured_fraction if cb else None
+    cell = {MATCH: True, MISMATCH: False}.get
     row = {
         "b": b,
         "m": cls.m if five else None,
         "n": cls.n if five else None,
-        "mb_measured": measured,
-        "mb_predicted": predicted,
-        "mb_match": _match(predicted, measured),
-        "sb_size": report.convergent_count if report and "sbsize" in metrics else None,
+        "mb_measured": mb.measured_max_distance if mb else None,
+        "mb_predicted": mb.predicted_max_distance if mb else None,
+        "mb_match": cell(mb.max_distance_verdict) if mb else None,
+        # a base with no fixed numeral has no basin to size
+        "sb_size": (
+            report.convergent_count if "sbsize" in metrics and report.fixed_numerals else None
+        ),
         "cb_fraction": fmt_fraction(fraction),
         "cb_decimal": None if fraction is None else fraction_to_decimal(fraction),
-        "cb_predicted_fraction": fmt_fraction(predicted_fraction),
-        "cb_match": _match(predicted_fraction, fraction),
+        "cb_predicted_fraction": fmt_fraction(cb.predicted_fraction) if cb else None,
+        "cb_match": cell(cb.fraction_verdict) if cb else None,
     }
     if "fixedpoints" in metrics:
         row["fixed_points"] = [q.value for q in _fixed_point_quads(b, report)]
@@ -384,9 +384,9 @@ def _histogram_text(payload: dict) -> str:
 
 def cmd_histogram(args: argparse.Namespace) -> int:
     b = args.base
-    if isinstance(classify_base(b), NoFixedPoint):
-        raise ValueError(f"base {b} has no non-zero fixed point")
     report = base_report(b)
+    if not report.fixed_numerals:
+        raise ValueError(f"base {b} has no non-zero fixed point")
     total = report.convergent_count
     rows = []
     for k in range(report.max_distance + 1):
@@ -530,7 +530,7 @@ def main(argv: list[str] | None = None) -> int:
     except UndeterminedOrbitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

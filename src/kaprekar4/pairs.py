@@ -6,8 +6,9 @@ outer*(b^3 - 1) + inner*(b^2 - b), so the pair is a sufficient statistic:
 two numerals with the same pair have the same image.  That collapses the
 b^4 integer states to b*(b+1)/2 canonical pairs.
 
-Pair ``(d, dp)`` has the code ``d(d+1)/2 + dp``, its index in
-:func:`canonical_pairs` order; the step table of a base maps codes to codes.
+Pair ``(d, dp)`` has the code ``d(d+1)/2 + dp``, its index when the pairs
+are listed outer-major: d ascending, then dp from 0 to d.  The step table of
+a base maps codes to codes.
 The predecessor rules build each row directly as a set of canonical pairs.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 from array import array
 from enum import Enum
 from math import isqrt
-from typing import Iterator, NoReturn
+from typing import NoReturn
 
 from .digits import Digits, check_base
 
@@ -28,14 +29,6 @@ class PairType(Enum):
     A = "a"
     B = "b"
     C = "c"
-
-
-def canonical_pairs(b: int) -> Iterator[Pair]:
-    """All canonical pairs of a base, outer-major order."""
-    check_base(b)
-    for d in range(b):
-        for dp in range(d + 1):
-            yield (d, dp)
 
 
 def pair_of_digits(digits: Digits) -> Pair:

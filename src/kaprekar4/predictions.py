@@ -1,9 +1,9 @@
 """Closed-form predictions: which bases have a fixed numeral, its digits,
 the worst-case distance, and the convergent fraction.
 
-Everything here is a predictor but :func:`grid_landing`, its result
-:class:`GridLanding` and its guard :func:`grid_exponent`: the plain walker
-the test suite checks :mod:`.verify`'s landing memo with.  Measurements live
+Everything here is a predictor but :func:`grid_landing`, the plain walker
+the test suite checks :mod:`.verify`'s landing memo with; it stays here
+because the benchmark's tracer records it as a span.  Measurements live
 in :mod:`.dynamics`; the two sides are compared by :mod:`.verify` and the
 test suite, never merged.  :mod:`.dynamics` reads :func:`classify_base` only
 to pick each base's route, never a predicted number, and the deep checks
@@ -112,33 +112,22 @@ def predict_convergent_fraction(b: int) -> Fraction | None:
 # 0 <= q <= p <= 4 and called grid cells.
 
 
-@dataclass(frozen=True)
-class GridLanding:
-    steps: int
-    cell: Pair
-
-
-def grid_exponent(b: int) -> int:
-    """n for b = 5 * 2^n with n >= 2; rejects every other base."""
-    cls = classify_base(b)
-    if not isinstance(cls, FiveMultiple) or cls.m != 1 or cls.n < 2:
-        raise ValueError(f"base {b} is not 5 * 2^n with n >= 2")
-    return cls.n
-
-
-def grid_landing(pair: Pair, b: int) -> GridLanding:
-    """Steps until both coordinates are first divisible by b/5, and the cell.
+def grid_landing(pair: Pair, b: int) -> tuple[int, Pair]:
+    """Steps until both coordinates are first divisible by b/5, and the cell;
+    b = 5 * 2^n with n >= 2.
 
     The reference walk the tests compare :mod:`.verify`'s landing memo with.
     Exceeding the proven bound by a wide margin is treated as a hard failure
     rather than returning a wrong answer.
     """
-    n = grid_exponent(b)
+    cls = classify_base(b)
+    if not isinstance(cls, FiveMultiple) or cls.m != 1 or cls.n < 2:
+        raise ValueError(f"base {b} is not 5 * 2^n with n >= 2")
     g = b // 5
-    budget = 2 * n + 8
+    budget = 2 * cls.n + 8
     cur = pair
     for steps in range(budget + 1):
         if cur[0] % g == 0 and cur[1] % g == 0:
-            return GridLanding(steps=steps, cell=(cur[0] // g, cur[1] // g))
+            return steps, (cur[0] // g, cur[1] // g)
         cur = step_pair(cur, b)
     raise RuntimeError(f"pair {pair} found no grid pair within {budget} steps in base {b}")

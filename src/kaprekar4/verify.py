@@ -1,13 +1,15 @@
 """Prediction-versus-measurement harness.
 
 ``verify_base`` compares the closed-form predictors against the measured
-dynamics of one base.  Depth "formulas" checks the two headline numbers;
-depth "deep" also exercises the structural claims behind them (predecessor
-tables, basin structure, grid landing bounds, the literal data tables, and
-integer-level cycle entries).  Mismatches, a rule row missing a candidate
-among them, are reported as data (exit 1).  Two faults raise (exit 4): a rule
-candidate that misses its target, in :func:`pair_distance_map`'s guard, and
-a pair past the 2n + 8 landing budget, in ``_grid_landings``.
+dynamics of one base.  Depth "formulas" checks the two headline numbers
+with :func:`judge`, which also gives ``sweep`` its match cells, so both
+commands read one verdict rule.  Depth "deep" also exercises the
+structural claims behind them (predecessor tables, basin structure, grid
+landing bounds, the literal data tables, and integer-level cycle entries).
+Mismatches, a rule row missing a candidate among them, are reported as data
+(exit 1).  Two faults raise (exit 4): a rule candidate that misses its
+target, in :func:`pair_distance_map`'s guard, and a pair past the 2n + 8
+landing budget, in ``_grid_landings``.
 
 The deep checks of one base share two results: the distance map, which also
 gives the measured numbers, and the step table of :mod:`pairs`.  The checks
@@ -25,6 +27,7 @@ from fractions import Fraction
 
 from .digits import join_digits, step_value, to_digits
 from .dynamics import (
+    BaseReport,
     Cycle,
     PairDistanceMap,
     ZeroSink,
@@ -418,19 +421,17 @@ def _check_cycle_rows(b: int, n: int, table: array) -> Check:
 # ---------------------------------------------------------------------------
 
 
-def verify_base(b: int, depth: str = "formulas") -> PredictionReport:
-    if depth not in DEPTHS:
-        raise ValueError(f"depth must be one of {DEPTHS}, got {depth!r}")
-    cls = classify_base(b)
-    # the deep checks validate the very map that gives the measured numbers
-    pdm = pair_distance_map(b) if isinstance(cls, FiveMultiple) else None
-    report = base_report(b) if pdm is None else _pairs_report(pdm)
+def judge(report: BaseReport) -> PredictionReport:
+    """The two predictions of ``report.base`` against ``report``, no checks.
+
+    A report with no fixed numeral has no measured fraction.
+    """
+    b = report.base
     measured_max = report.max_distance
     measured_fraction = report.convergent_fraction if report.fixed_numerals else None
     predicted_max = predict_max_distance(b)
     predicted_fraction = predict_convergent_fraction(b)
-
-    out = PredictionReport(
+    return PredictionReport(
         base=b,
         predicted_max_distance=predicted_max,
         measured_max_distance=measured_max,
@@ -439,6 +440,16 @@ def verify_base(b: int, depth: str = "formulas") -> PredictionReport:
         measured_fraction=measured_fraction,
         fraction_verdict=_verdict(predicted_fraction, measured_fraction),
     )
+
+
+def verify_base(b: int, depth: str = "formulas") -> PredictionReport:
+    if depth not in DEPTHS:
+        raise ValueError(f"depth must be one of {DEPTHS}, got {depth!r}")
+    cls = classify_base(b)
+    # the deep checks validate the very map that gives the measured numbers
+    pdm = pair_distance_map(b) if isinstance(cls, FiveMultiple) else None
+    report = base_report(b) if pdm is None else _pairs_report(pdm)
+    out = judge(report)
     if depth != "deep":
         return out
 

@@ -12,7 +12,8 @@ digits sorted by ``np.sort``, and solve distances value by value on that
 whole table (the package steps each sorted digit quadruple once, weighed
 by its arrangements, sums the weights per image by sorting, and solves
 distances only on the image set), so they are the reference for small
-bases.
+bases.  :func:`canonical_pairs` lists the pairs the scans and walks run
+over; the package itself only ever indexes them by code.
 """
 
 from __future__ import annotations
@@ -21,8 +22,17 @@ from collections import Counter
 
 import numpy as np
 
+from kaprekar4.digits import check_base
 from kaprekar4.dynamics import BaseReport
-from kaprekar4.pairs import canonical_pairs, step_pair
+from kaprekar4.pairs import step_pair
+
+
+def canonical_pairs(b: int):
+    """All canonical pairs of a base, outer-major: the order of pair codes."""
+    check_base(b)
+    for d in range(b):
+        for dp in range(d + 1):
+            yield (d, dp)
 
 
 def oracle_digits(x: int, b: int) -> tuple[int, int, int, int]:

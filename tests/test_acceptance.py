@@ -22,7 +22,6 @@ from kaprekar4.dynamics import (
 from kaprekar4.pairs import (
     PairType,
     _step_table,
-    canonical_pairs,
     classify_pair,
     condensed_predecessors_of,
     pair_count,
@@ -41,7 +40,7 @@ from kaprekar4.tables import (
     max_total_steps,
 )
 from kaprekar4.verify import _check_cycle_rows
-from oracles import full_step_table, oracle_preimages, pair_code_table
+from oracles import canonical_pairs, full_step_table, oracle_preimages, pair_code_table
 
 
 def _finish(num: str, desc: str, limit: float, t0: float, problems: list):
@@ -219,18 +218,18 @@ def test_criterion_10_landing_bounds():
         b = 5 * 2**n
         worst = {}
         for p in canonical_pairs(b):
-            landing = grid_landing(p, b)
-            bound = landing_bound(*landing.cell, n)
-            if landing.steps > bound:
-                problems.append(f"n={n} {p}: landing {landing.steps} > bound {bound}")
-            worst[landing.cell] = max(worst.get(landing.cell, -1), landing.steps)
+            steps, cell = grid_landing(p, b)
+            bound = landing_bound(*cell, n)
+            if steps > bound:
+                problems.append(f"n={n} {p}: landing {steps} > bound {bound}")
+            worst[cell] = max(worst.get(cell, -1), steps)
         if n >= 5:
             for cell, steps in sorted(worst.items()):
                 if steps != landing_bound(*cell, n):
                     problems.append(f"n={n} cell {cell}: bound unattained ({steps})")
             for w in landing_witnesses(n):
                 landing = grid_landing(w.start, b)
-                if (landing.steps, landing.cell) != (w.steps, w.cell):
+                if landing != (w.steps, w.cell):
                     problems.append(f"n={n} witness {w.start}: measured {landing}")
     _finish("10", "grid landing bounds hold (n=2..7) and are attained (n=5..7)", 120.0, t0, problems)
 

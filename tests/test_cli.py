@@ -259,6 +259,24 @@ def test_sweep_json_schema(capsys):
     assert row15["cb_fraction"] == "16/375"
 
 
+def test_sweep_match_cells_are_verify_verdicts(capsys):
+    # the two commands judge each base the same way
+    from kaprekar4.verify import MATCH, MISMATCH, NOT_PREDICTED, verify_base
+
+    code, out, _ = run(capsys, "sweep", "--bases", "2..200", "--metrics", "mb,cb",
+                       "--format", "json", "--jobs", "1")
+    assert code == 0
+    cell = {MATCH: True, MISMATCH: False, NOT_PREDICTED: None}
+    seen = set()
+    for row in json.loads(out)["rows"]:
+        rep = verify_base(row["b"])
+        want = (cell[rep.max_distance_verdict], cell[rep.fraction_verdict])
+        assert (row["mb_match"], row["cb_match"]) == want, row["b"]
+        seen.add(want)
+    # bases 2, 4, 20 and 80 have a distance formula only
+    assert seen == {(True, True), (True, None), (None, None)}
+
+
 def test_sweep_metric_subsets(capsys):
     code, out, _ = run(capsys, "sweep", "--bases", "10..10", "--metrics", "mb",
                        "--format", "csv", "--jobs", "1")
@@ -513,7 +531,9 @@ def test_histogram_json_schema(capsys):
 
 
 def test_histogram_rejects_fixless_base(capsys):
-    assert run(capsys, "histogram", "--base", "6")[0] == 2
+    assert run(capsys, "histogram", "--base", "6") == (
+        2, "", "error: base 6 has no non-zero fixed point\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +595,15 @@ def test_out_writes_lf_file(tmp_path):
     assert raw.decode().splitlines()[0] == ",".join(HISTOGRAM_COLUMNS)
 
 
+def test_unwritable_out_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "hist.csv"
+    code, out, err = run(capsys, "histogram", "--base", "5", "--format", "csv",
+                         "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
 def test_json_outputs_deterministic(capsys):
     argv = ["sweep", "--bases", "5..15", "--format", "json", "--jobs", "1"]
     _, first, _ = run(capsys, *argv)
@@ -598,6 +627,22 @@ def test_internal_error_exit_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err.startswith("internal error: ") and "planted crash" in err
+
+
+def test_pool_that_cannot_start_exits_4(capsys, monkeypatch):
+    import concurrent.futures
+
+    class NoPool:
+        def __init__(self, max_workers):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    # a pool is planned, and fork fails before any process starts
+    _free_pool(monkeypatch)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    code, out, err = run(capsys, "sweep", "--bases", "5..40", "--jobs", "2")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: BlockingIOError(")
 
 
 def _run_probe(probe: str, split: bool = True):

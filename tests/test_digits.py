@@ -77,7 +77,7 @@ def test_step_matches_value_subtraction_oracle(bv):
 
 
 @pytest.mark.parametrize("b", range(2, 17))
-def test_step_matches_numpy_network_on_whole_domain(b):
+def test_step_matches_numpy_sort_on_whole_domain(b):
     # the place-by-place step against the integer oracle's _step, which
     # sorts the digits with numpy and subtracts the two whole numerals
     want = _step(np.arange(b**4, dtype=np.int64), b).tolist()

@@ -18,9 +18,10 @@ from kaprekar4.dynamics import (
     trajectory,
     work_estimate,
 )
-from kaprekar4.pairs import canonical_pairs, fixed_pair, pair_count, step_pair
+from kaprekar4.pairs import fixed_pair, pair_count, step_pair
 from kaprekar4.predictions import FiveMultiple, NoFixedPoint, TwoOrFour, classify_base
 from oracles import (
+    canonical_pairs,
     full_report,
     oracle_distance,
     oracle_pair_distances,

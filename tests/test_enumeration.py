@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import kaprekar4
-from kaprekar4 import dynamics, enumeration
+from kaprekar4 import cli, dynamics, enumeration
 from kaprekar4.dynamics import base_report
 from oracles import full_report
 
@@ -158,3 +158,19 @@ def test_dynamics_reads_only_the_classification_from_predictions():
         elif isinstance(node, ast.Import):
             assert not [a for a in node.names if a.name.split(".")[-1] == "predictions"]
     assert names <= {"classify_base", "FiveMultiple", "NoFixedPoint", "TwoOrFour"}, names
+
+
+def test_cli_judges_only_through_verify():
+    # sweep's match cells are verify's verdicts: the CLI reads no predicted
+    # number itself, only the classification and the fixed numeral's digits
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names: dict[str, set] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            names.setdefault(module, set()).update(alias.name for alias in node.names)
+            assert not {"predictions", "verify"} & {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not [a for a in node.names if a.name.split(".")[-1] == "predictions"]
+    assert names["predictions"] == {"FiveMultiple", "classify_base", "fixed_point_digits"}
+    assert "judge" in names["verify"]

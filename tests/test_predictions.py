@@ -156,12 +156,9 @@ def test_landing_bound_cases():
 
 
 def test_grid_landing_examples():
-    landing = grid_landing((4, 1), 20)
-    assert (landing.steps, landing.cell) == (2, (4, 1))
-    landing = grid_landing((12, 4), 20)  # already divisible
-    assert (landing.steps, landing.cell) == (0, (3, 1))
-    landing = grid_landing((80, 5), 160)
-    assert (landing.steps, landing.cell) == (12, (1, 0))  # 2n+2 at n=5
+    assert grid_landing((4, 1), 20) == (2, (4, 1))
+    assert grid_landing((12, 4), 20) == (0, (3, 1))  # already divisible
+    assert grid_landing((80, 5), 160) == (12, (1, 0))  # 2n+2 at n=5
 
 
 def test_grid_landing_base_validation():
@@ -248,5 +245,4 @@ def test_witness_rows_measured_small_n():
     for n in (2, 3, 4):
         b = 5 * 2**n
         for w in landing_witnesses(n):
-            landing = grid_landing(w.start, b)
-            assert (landing.steps, landing.cell) == (w.steps, w.cell), (n, w)
+            assert grid_landing(w.start, b) == (w.steps, w.cell), (n, w)

@@ -10,17 +10,16 @@ from kaprekar4.pairs import (
     _code,
     _pair_at,
     _step_table,
-    canonical_pairs,
     condensed_predecessors_of,
     fixed_pair,
     pair_count,
     predecessors_of,
     step_pair,
 )
-from kaprekar4.predictions import grid_exponent, grid_landing
+from kaprekar4.predictions import classify_base, grid_landing
 from kaprekar4.tables import cell_step_bound, cycle_cells
 from kaprekar4.verify import MATCH, MISMATCH, NOT_PREDICTED, Check, verify_base
-from oracles import oracle_pair, oracle_value
+from oracles import canonical_pairs, oracle_pair, oracle_value
 
 
 def test_formulas_base_10():
@@ -486,10 +485,9 @@ def test_rule_rows_at_bases_verify_skips(b):
 
 @pytest.mark.parametrize("b", [20, 40, 80, 160, 320])
 def test_landing_memo_equals_grid_landing(b):
-    steps, cells = verify_mod._grid_landings(b, grid_exponent(b), _step_table(b))
+    steps, cells = verify_mod._grid_landings(b, classify_base(b).n, _step_table(b))
     for c, p in enumerate(canonical_pairs(b)):
-        landing = grid_landing(p, b)
-        assert (steps[c], _pair_at(cells[c])) == (landing.steps, landing.cell), p
+        assert (steps[c], _pair_at(cells[c])) == grid_landing(p, b), p
 
 
 def test_landing_memo_keeps_the_budget():
