@@ -162,6 +162,13 @@ _POOL_START_UNITS = 20_000
 _POOL_TASK_UNITS = 64
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _parallel_map(worker, tasks, costs: list[int], jobs: int | None):
     """``[worker(t) for t in tasks]``, each task a tuple led by its base and
     ``costs`` their work estimates.
@@ -175,7 +182,7 @@ def _parallel_map(worker, tasks, costs: list[int], jobs: int | None):
     if jobs is not None and jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
     # at most one worker per task: the pool forks all its workers at once
-    jobs = min(jobs or os.cpu_count() or 1, len(tasks))
+    jobs = min(jobs or _usable_cpus(), len(tasks))
     total = sum(costs)
     saved = total - max(max(costs), total / jobs)
     if jobs <= 1 or saved <= _POOL_START_UNITS + _POOL_TASK_UNITS * len(tasks):
@@ -514,8 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None)
         if many:
             p.add_argument("--jobs", type=int, default=None, help="most worker processes"
-                           " (default: all cores); small runs stay in-process, a pool starts"
-                           " the largest bases first, and the output does not depend on either")
+                           " (default: the CPUs this process may use); small runs stay"
+                           " in-process, a pool starts the largest bases first, and the"
+                           " output does not depend on either")
     return parser
 
 

@@ -11,13 +11,32 @@ keys are summed per image, then the chunk and the table are stably
 sorted together and summed the same way.  Memory is O(b^2 + chunk), time
 O(b^4).  Distances are solved on that image set, which the step maps
 into itself; a value's distance is one more than its image's.
+
+Nothing here calls BLAS, yet OpenBLAS starts a worker thread per CPU when
+numpy loads; on a 2-CPU host that took numpy's import from ~0.11 s to
+~0.17 s.  So numpy is loaded with ``OPENBLAS_NUM_THREADS=1``, and
+``os.environ`` is restored right after, so child processes do not inherit
+it.  This applies only when numpy is not loaded yet (OpenBLAS reads its
+thread count once, when it loads) and none of ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set: setting one, or
+importing numpy first, keeps BLAS's own threads.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from math import comb
 
-import numpy as np
+_ONE_BLAS_THREAD = "numpy" not in sys.modules and not any(
+    v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+if _ONE_BLAS_THREAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _ONE_BLAS_THREAD:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .digits import check_base
 from .dynamics import BaseReport

@@ -406,11 +406,23 @@ def test_pool_has_at_most_one_worker_per_base(capsys, monkeypatch, stand_in_pool
     argv = ["sweep", "--bases", "2..3", "--format", "csv"]
     _, serial, _ = run(capsys, *argv, "--jobs", "1")
     _free_pool(monkeypatch)
-    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli_mod, "_usable_cpus", lambda: 64)
     code, out, _ = run(capsys, *argv, *jobs)
     assert code == 0
     assert stand_in_pool.workers == [2]
     assert out == serial
+
+
+def test_default_jobs_counts_only_usable_cpus(capsys, monkeypatch, stand_in_pool):
+    import kaprekar4.cli as cli_mod
+
+    # a host with many CPUs, of which this process may run on one: two
+    # workers on one CPU would take longer than one
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    code, _, _ = run(capsys, "sweep", "--bases", "2..800", "--format", "csv")
+    assert code == 0
+    assert stand_in_pool.workers == []
 
 
 def test_benchmark_sweep_plans_in_process():
@@ -467,7 +479,7 @@ def test_sweep_near_max_base(capsys, monkeypatch, stand_in_pool):
 
     # the cheap bases at the top of the declared range, measured, in-process
     # by plan even with many cores
-    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli_mod, "_usable_cpus", lambda: 64)
     code, out, _ = run(capsys, "sweep", "--bases", "65440..65536", "--metrics", "mb,cb",
                        "--format", "json")
     assert code == 0

@@ -135,6 +135,69 @@ def test_memory_bounded_at_base_64():
         assert loaded_ma == "False", b
 
 
+def _import_in_clean_env(prelude: str = "", **env: str) -> tuple[int, bool, list[str]]:
+    """Import kaprekar4.enumeration in a fresh interpreter after ``prelude``.
+
+    The child's environment has none of the three BLAS thread-count
+    variables, plus ``env``.  Returns its OS thread count, whether
+    ``os.environ`` is as it was before the import, and the variables the
+    import set.
+    """
+    src = os.path.dirname(os.path.dirname(kaprekar4.__file__))
+    blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    clean = {k: v for k, v in os.environ.items() if k not in blas}
+    probe = (
+        "import os\n"
+        f"{prelude}\n"
+        "added = []\n"
+        "set_item = type(os.environ).__setitem__\n"
+        "def logged(env, key, value):\n"
+        "    added.append(key)\n"
+        "    set_item(env, key, value)\n"
+        "type(os.environ).__setitem__ = logged\n"
+        "before = dict(os.environ)\n"
+        "import kaprekar4.enumeration\n"
+        "threads = [l.split()[1] for l in open('/proc/self/status') if l.startswith('Threads:')]\n"
+        "print(threads[0], dict(os.environ) == before, *added)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**clean, **env, "PYTHONPATH": src},
+    ).stdout.split()
+    return int(out[0]), out[1] == "True", out[2:]
+
+
+_NEEDS_PROC = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                                 reason="reads Threads from /proc/self/status")
+
+
+@_NEEDS_PROC
+def test_numpy_loads_without_blas_worker_threads():
+    # OpenBLAS would start one worker per CPU; nothing here calls BLAS
+    threads, unchanged, _ = _import_in_clean_env()
+    assert threads == 1
+    assert unchanged
+
+
+@_NEEDS_PROC
+def test_blas_thread_count_set_by_the_caller_wins():
+    # unchanged: the variable still reads 2 after the import
+    threads, unchanged, added = _import_in_clean_env(OPENBLAS_NUM_THREADS="2")
+    assert unchanged and added == []
+    # the main thread and one OpenBLAS worker, where two CPUs are usable
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert threads == 2
+
+
+@_NEEDS_PROC
+def test_numpy_imported_first_sets_no_variable():
+    _, unchanged, added = _import_in_clean_env("import numpy")
+    assert unchanged and added == []
+
+
 def test_enumeration_does_not_import_pairs():
     tree = ast.parse(Path(enumeration.__file__).read_text())
     imported = set()
