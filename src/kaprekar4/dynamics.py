@@ -20,7 +20,6 @@ from .pairs import (
     Pair,
     fixed_pair,
     pair_count,
-    pair_of_digits,
     predecessors_of,
     step_pair,
 )
@@ -160,21 +159,6 @@ def fixed_numeral_value(b: int) -> int:
     d, dp = fixed_pair(b)
     representative = join_digits((d, dp, 0, 0), b)
     return step_value(representative, b)
-
-
-def integer_distance(q: DigitQuad, pdm: PairDistanceMap) -> int | None:
-    """Distance of a numeral to the fixed numeral via the pair map.
-
-    A numeral whose pair sits t steps from the fixed pair lies exactly t+1
-    steps from the fixed numeral (the last pair step lands on the fixed
-    numeral itself and no earlier step can), except for the fixed numeral.
-    """
-    if q.base != pdm.base:
-        raise ValueError(f"numeral base {q.base} != distance map base {pdm.base}")
-    if q.value == fixed_numeral_value(q.base):
-        return 0
-    s = pdm.steps.get(pair_of_digits(q.digits))
-    return None if s is None else s + 1
 
 
 # ---------------------------------------------------------------------------

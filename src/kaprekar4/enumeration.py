@@ -4,10 +4,11 @@ This is the oracle side of every dual check, with no use of the pair
 reduction.  K depends only on a value's digit multiset, so each sorted
 digit quadruple a3 >= a2 >= a1 >= a0 is stepped once, as its descending
 minus its ascending numeral, and stands for its 24 / prod(run length!)
-arrangements in [0, b^4): C(b+3, 4), about b^4/24, steps in all.  The
-quadruples are streamed in fixed chunks.  One sort-and-sum keeps only
-the distinct images, with how many values map to each: a chunk's sorted
-keys are summed per image, then the chunk and the table are stably
+arrangements in [0, b^4): C(b+3, 4), about b^4/24, steps in all.  For
+each a2 they are the rows a3 = a2..b-1, each over the same prefix of one
+(a1, a0) triangle, walked in bands of whole rows.  One sort-and-sum keeps
+only the distinct images, with how many values map to each: a band's
+sorted keys are summed per image, then the band and the table are stably
 sorted together and summed the same way.  Memory is O(b^2 + chunk), time
 O(b^4).  Distances are solved on that image set, which the step maps
 into itself; a value's distance is one more than its image's.
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import os
 import sys
-from math import comb
 
 _ONE_BLAS_THREAD = "numpy" not in sys.modules and not any(
     v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
@@ -42,13 +42,14 @@ from .digits import check_base
 from .dynamics import BaseReport
 
 # The route streams, so time, not memory, bounds it: on a 2-core Xeon
-# b = 320 (4.5*10^8 quadruples) took 28-41 s at 36 MB.  Keys are int64;
+# b = 320 (4.5*10^8 quadruples) took 29-33 s at 39-40 MB.  Keys are int64;
 # _check_enum_base also refuses a base whose keys would not fit.
 MAX_ENUM_BASE = 320
-# quadruples per chunk; a longer row is split across chunks.  Every chunk
-# merges its images into the table, so larger chunks are faster at large
-# b: at b = 180, 2^13 took 2.8-4.4 s, 2^14 2.4-2.6 s and 2^15 1.9-2.0 s,
-# but 2^15 (256 KB temporaries) raised the b = 40 peak RSS by 1.2 MB.
+# a band of rows with t quadruples each holds ceil(_CHUNK / t) of them, so
+# a row longer than _CHUNK is a band alone.  Every band merges its images
+# into the table, so larger chunks are faster at large b: at b = 180, 2^13
+# took 2.3-2.8 s, 2^14 1.7-2.0 s and 2^15 1.6-1.7 s, but 2^15 raised the
+# peak RSS by 0.6 MB there (at b = 40 all three peak at 29.4 MB).
 _CHUNK = 1 << 14
 
 # a sorted quadruple's arrangements, 24 / prod(run length!), indexed by
@@ -81,62 +82,41 @@ def _group_sum(vals: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.nd
     return vals[starts], np.add.reduceat(weights, starts)
 
 
-def _stream(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The row and triangle parts of every sorted quadruple's key.
-
-    Row r is the digit pair (a3, a2), a3 >= a2, in order.  Its quadruples
-    are the first (a2 + 1)(a2 + 2)/2 entries (a1, a0) of the triangle
-    a1 >= a0, ordered by a1, and they start at ``row_start[r]`` of the
-    stream.  A quadruple's key is 8 K + its weight row, and each part
-    holds 8 * (descending - ascending numeral) of its own two digits: the
-    row adds 4 when a3 == a2, the triangle 1 when a1 == a0, and the 2 for
-    a2 == a1 is added where the entry's index reaches ``mid[r]``, the
-    triangle's first entry with a1 == a2.
-    """
-    b2, b3 = b * b, b**3
-    # (a3, a2) over the rows and (a1, a0) over the triangle are the same
-    # digit pairs, high digit first and ordered by it
-    a3, a2 = a1, a0 = np.array(np.tril_indices(b), dtype=np.int64)
-    hi = 8 * ((a3 * b3 + a2 * b2) - (a2 * b + a3)) + 4 * (a3 == a2)
-    lo = 8 * ((a1 * b + a0) - (a0 * b3 + a1 * b2)) + (a1 == a0)
-    mid = a2 * (a2 + 1) // 2
-    row_start = np.zeros(hi.size + 1, dtype=np.int64)
-    np.cumsum((a2 + 1) * (a2 + 2) // 2, out=row_start[1:])
-    return hi, lo, mid, row_start
-
-
-def _chunk_keys(stream: tuple, s: int, e: int) -> np.ndarray:
-    """The keys of quadruples s..e-1 of the stream, unsorted."""
-    hi, lo, mid, row_start = stream
-    r0 = int(np.searchsorted(row_start, s, "right")) - 1
-    r1 = int(np.searchsorted(row_start, e))
-    lens = np.diff(np.clip(row_start[r0:r1 + 1], s, e))
-    off = np.arange(s, e) - np.repeat(row_start[r0:r1], lens)
-    keys = np.repeat(hi[r0:r1], lens)
-    keys += lo[off]
-    keys += 2 * (off >= np.repeat(mid[r0:r1], lens))
-    return keys
+def _triangle(b: int) -> np.ndarray:
+    """The (a1, a0) part of the key of each pair a1 >= a0, ordered by a1."""
+    a1, a0 = np.array(np.tril_indices(b), dtype=np.int64)
+    return 8 * ((a1 * b + a0) - (a0 * b**3 + a1 * b * b)) + (a1 == a0)
 
 
 def step_table(b: int) -> tuple[np.ndarray, np.ndarray]:
     """(distinct K-images of [0, b^4) ascending, how many values map to each)."""
     _check_enum_base(b)
-    stream = _stream(b)
-    total = comb(b + 3, 4)
+    low = _triangle(b)
     images = counts = np.empty(0, dtype=np.int64)
-    for s in range(0, total, _CHUNK):
-        # sorted keys group each image's quadruples; the low 3 bits weigh them
-        keys = _chunk_keys(stream, s, min(s + _CHUNK, total))
-        keys.sort()
-        vals, cnts = _group_sum(keys >> 3, _WEIGHTS[keys & 7])
-        # a stable sort merges the two ascending runs in one pass; each
-        # rebinding frees a table-sized array.  Not np.union1d or np.unique:
-        # their plain np.unique imports numpy.ma on first use
-        images = np.concatenate((images, vals))
-        order = np.argsort(images, kind="stable")
-        images = images[order]
-        counts = np.concatenate((counts, cnts))[order]
-        images, counts = _group_sum(images, counts)
+    for a2 in range(b):
+        # a key, 8 K + weight row, is a row part plus a triangle part: 8 *
+        # (descending - ascending numeral) of their own digits, plus 4 where
+        # a3 == a2 and 1 where a1 == a0.  Rows a3 = a2..b-1 share the first t
+        # triangle entries, a1 <= a2; the last a2 + 1 (a1 == a2) add 2
+        t = (a2 + 1) * (a2 + 2) // 2
+        tri = low[:t].copy()
+        tri[t - a2 - 1:] += 2
+        a3 = np.arange(a2, b, dtype=np.int64)
+        high = 8 * ((a3 * b**3 + a2 * b * b) - (a2 * b + a3)) + 4 * (a3 == a2)
+        band = -(-_CHUNK // t)
+        for r in range(0, high.size, band):
+            # sorted keys group each image's quadruples; the low 3 bits weigh them
+            keys = (high[r:r + band, None] + tri).ravel()
+            keys.sort()
+            vals, cnts = _group_sum(keys >> 3, _WEIGHTS[keys & 7])
+            # a stable sort merges the two ascending runs in one pass; each
+            # rebinding frees a table-sized array.  Not np.union1d or np.unique:
+            # their plain np.unique imports numpy.ma on first use
+            images = np.concatenate((images, vals))
+            order = np.argsort(images, kind="stable")
+            images = images[order]
+            counts = np.concatenate((counts, cnts))[order]
+            images, counts = _group_sum(images, counts)
     if int(counts.sum()) != b**4:
         raise RuntimeError(f"base {b}: the weighted quadruples do not count b^4 values")
     return images, counts

@@ -14,6 +14,9 @@ by its arrangements, sums the weights per image by sorting, and solves
 distances only on the image set), so they are the reference for small
 bases.  :func:`canonical_pairs` lists the pairs the scans and walks run
 over; the package itself only ever indexes them by code.
+:func:`integer_distance` is the exception: it reads a numeral's distance
+off the package's own pair map, so the tests can hold that map against
+orbits run value by value.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from collections import Counter
 
 import numpy as np
 
-from kaprekar4.digits import check_base
-from kaprekar4.dynamics import BaseReport
-from kaprekar4.pairs import step_pair
+from kaprekar4.digits import DigitQuad, check_base
+from kaprekar4.dynamics import BaseReport, PairDistanceMap, fixed_numeral_value
+from kaprekar4.pairs import pair_of_digits, step_pair
 
 
 def canonical_pairs(b: int):
@@ -33,6 +36,21 @@ def canonical_pairs(b: int):
     for d in range(b):
         for dp in range(d + 1):
             yield (d, dp)
+
+
+def integer_distance(q: DigitQuad, pdm: PairDistanceMap) -> int | None:
+    """Distance of a numeral to the fixed numeral via the pair map.
+
+    A numeral whose pair sits t steps from the fixed pair lies exactly t+1
+    steps from the fixed numeral (the last pair step lands on the fixed
+    numeral itself and no earlier step can), except for the fixed numeral.
+    """
+    if q.base != pdm.base:
+        raise ValueError(f"numeral base {q.base} != distance map base {pdm.base}")
+    if q.value == fixed_numeral_value(q.base):
+        return 0
+    s = pdm.steps.get(pair_of_digits(q.digits))
+    return None if s is None else s + 1
 
 
 def oracle_digits(x: int, b: int) -> tuple[int, int, int, int]:

@@ -13,7 +13,6 @@ from kaprekar4.dynamics import (
     _orbit_report,
     base_report,
     fixed_numeral_value,
-    integer_distance,
     pair_distance_map,
     trajectory,
     work_estimate,
@@ -23,6 +22,7 @@ from kaprekar4.predictions import FiveMultiple, NoFixedPoint, TwoOrFour, classif
 from oracles import (
     canonical_pairs,
     full_report,
+    integer_distance,
     oracle_distance,
     oracle_pair_distances,
     oracle_step,

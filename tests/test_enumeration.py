@@ -27,19 +27,21 @@ def test_streamed_report_matches_full_tables():
 
 
 def test_chunk_boundaries_do_not_change_the_answer(monkeypatch):
-    # The stream holds C(b+3, 4) sorted quadruples in rows (a3, a2) of
-    # (a2+1)(a2+2)/2 each.  With 997 per chunk, 2, 3, 5, 6, 7 and 10 (up to
-    # 715 quadruples) fit in one short chunk; 12 (1,365) and 40 span several
-    # chunks that end mid-row; at 46 and 50 the rows with a2 >= 44 hold more
-    # than 997 quadruples and are split across two chunks or more.
+    # For each a2 the rows a3 = a2..b-1 hold t = (a2+1)(a2+2)/2 quadruples
+    # each, and a band is ceil(997 / t) of them.  At 2, 3, 5, 6, 7, 10 and
+    # 12 (every base up to 23) each a2's rows fit in one band; at 40, 46
+    # and 50 some a2 (7..37 at 40) take several bands, the last one short;
+    # at 46 and 50 the rows with a2 >= 44 hold more than 997 quadruples
+    # each, one row a band.
     monkeypatch.setattr(enumeration, "_CHUNK", 997)
     for b in (2, 3, 5, 6, 7, 10, 12, 40, 46, 50):
         _assert_reports_match(b)
 
 
 def test_quadruple_stream_matches_per_value_steps():
-    # each sorted quadruple stepped once and weighed, against every value
-    # of [0, b^4) stepped alone by _step (digits by division, sorted)
+    # each sorted quadruple stepped once, in a band of rows, and weighed,
+    # against every value of [0, b^4) stepped alone by _step (digits by
+    # division, sorted)
     for b in range(2, 31):
         want = np.unique(enumeration._step(np.arange(b**4, dtype=np.int64), b), return_counts=True)
         images, counts = enumeration.step_table(b)
@@ -84,10 +86,11 @@ def test_wrong_weight_row_raises(monkeypatch, row):
 
 
 def _no_work(monkeypatch):
+    # the triangle is built first; at 2^15 + 1 it would take about 8.6 GB
     def no_work(*args):
         raise AssertionError("stepped a base over the limit")
 
-    for name in ("_stream", "_chunk_keys", "_step"):
+    for name in ("_triangle", "_step", "_group_sum"):
         monkeypatch.setattr(enumeration, name, no_work)
 
 

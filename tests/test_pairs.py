@@ -261,8 +261,7 @@ PUBLIC = {
 MODULE_ONLY = {
     "join_digits": "digits", "split_digits": "digits",
     "PairDistanceMap": "dynamics", "Terminal": "dynamics",
-    "fixed_numeral_value": "dynamics", "integer_distance": "dynamics",
-    "pair_distance_map": "dynamics",
+    "fixed_numeral_value": "dynamics", "pair_distance_map": "dynamics",
     "PairType": "pairs", "fixed_pair": "pairs", "pair_count": "pairs",
     "pair_of_digits": "pairs", "step_pair": "pairs",
     "BaseClass": "predictions", "FiveMultiple": "predictions",
@@ -291,7 +290,7 @@ def test_public_names_are_pinned():
     assert exported == PUBLIC
     assert len(PUBLIC) == 16
     # narrowing the top level removed no capability
-    assert len(MODULE_ONLY) == 27 and not PUBLIC & MODULE_ONLY.keys()
+    assert len(MODULE_ONLY) == 26 and not PUBLIC & MODULE_ONLY.keys()
     for name, mod in MODULE_ONLY.items():
         value = getattr(importlib.import_module(f"kaprekar4.{mod}"), name)
         # BaseClass and Terminal are unions of classes
