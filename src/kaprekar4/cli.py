@@ -31,17 +31,17 @@ from fractions import Fraction
 
 from .digits import DigitQuad, Digits, check_base, join_digits, to_digits
 from .dynamics import (
-    BaseReport,
     Cycle,
     FixedNumeral,
     UndeterminedOrbitError,
     ZeroSink,
     base_report,
+    fixed_numerals,
     trajectory,
     work_estimate,
 )
 from .pairs import pair_of_digits
-from .predictions import FiveMultiple, classify_base, fixed_point_digits
+from .predictions import FiveMultiple, classify_base
 from .verify import DEPTHS, MATCH, MISMATCH, NOT_PREDICTED, judge, verify_base
 
 # CSV columns: the keys of a JSON row, in order
@@ -273,13 +273,6 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fixed_point_quads(b: int, report: BaseReport | None = None) -> list[DigitQuad]:
-    """The base's fixed numerals; ``report``, when given, is ``base_report(b)``."""
-    if isinstance(classify_base(b), FiveMultiple):
-        return [fixed_point_digits(b)]
-    return [to_digits(v, b) for v in (report or base_report(b)).fixed_numerals]
-
-
 def _fixed_points_text(payload: dict) -> str:
     b = payload["base"]
     if not payload["fixed_points"]:
@@ -295,7 +288,7 @@ def cmd_fixed_points(args: argparse.Namespace) -> int:
     b = args.base
     points = [
         {**_numeral_json(q), "pair": list(pair_of_digits(q.digits))}
-        for q in _fixed_point_quads(b)
+        for q in (to_digits(v, b) for v in fixed_numerals(b))
     ]
     rows = [
         dict(zip(FIXED_POINTS_COLUMNS, (b, fp["value"], *fp["digits"], *fp["pair"])))
@@ -343,7 +336,7 @@ def _sweep_worker(task: tuple[int, frozenset[str]]) -> dict:
         "cb_match": cell(cb.fraction_verdict) if cb else None,
     }
     if "fixedpoints" in metrics:
-        row["fixed_points"] = [q.value for q in _fixed_point_quads(b, report)]
+        row["fixed_points"] = fixed_numerals(b)
     return row
 
 
@@ -364,7 +357,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if bad or not metrics:
         raise ValueError(f"metrics must be a non-empty subset of {SWEEP_METRICS}")
     bases = range(lo, hi + 1)
-    # fixedpoints alone measures nothing but bases 2 and 4
+    # fixedpoints alone measures nothing: it reads the fixed pairs only
     measured = bool(_REPORT_METRICS.intersection(metrics))
     costs = [work_estimate(b) if measured else 1 for b in bases]
     rows = _parallel_map(_sweep_worker, [(b, frozenset(metrics)) for b in bases], costs,
@@ -457,12 +450,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = parse_base_range(args.bases)
     bases = range(lo, hi + 1)
     # a deep verify also walks all b(b+1)/2 canonical pairs: ~2 units each
-    # for FiveMultiple (predecessor rows, distance and grid checks), ~1/5 of
-    # a unit otherwise (the step table alone)
+    # for a base with a fixed numeral (predecessor rows, distance and grid
+    # checks), ~1/5 of a unit otherwise (the step table alone)
     deep = args.depth == "deep"
     costs = [
-        work_estimate(b)
-        + deep * b * (b + 1) // (1 if isinstance(classify_base(b), FiveMultiple) else 10)
+        work_estimate(b) + deep * b * (b + 1) // (1 if fixed_numerals(b) else 10)
         for b in bases
     ]
     reports = _parallel_map(_verify_worker, [(b, args.depth) for b in bases], costs, args.jobs)
@@ -546,9 +538,5 @@ def main(argv: list[str] | None = None) -> int:
         return 4
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

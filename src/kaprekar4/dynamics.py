@@ -1,17 +1,19 @@
 """Orbit analysis: trajectories, distance maps over the pair graph, and
 per-base convergence statistics.
 
-Each base takes the route of its :func:`~kaprekar4.predictions.classify_base`
-class.  ``FiveMultiple``: the pair graph is walked backwards from the fixed
-pair and each pair is weighted by how many numerals carry it.  ``TwoOrFour``
-(16 and 256 numerals): every integer orbit is run with :func:`trajectory`.
-``NoFixedPoint``: an empty report.  The numpy oracle in
-:mod:`kaprekar4.enumeration` is a third, independent route, run only on
-demand (``method="enumeration"``) and by the tests.
+A base has a non-zero fixed numeral exactly when its
+:func:`~kaprekar4.predictions.classify_base` class is ``FiveMultiple`` or
+``TwoOrFour``.  Both take one route: the pair graph is walked backwards
+from the pairs that are their own image, and each pair is weighted by how
+many numerals carry it.  Those pairs are also the one source of the fixed
+numerals.  ``NoFixedPoint``: an empty report.  The numpy oracle in
+:mod:`kaprekar4.enumeration` is an independent route, run only on demand
+(``method="enumeration"``) and by the tests.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -111,54 +113,66 @@ def trajectory(start: DigitQuad, max_steps: int | None = None) -> Trajectory:
 
 @dataclass
 class PairDistanceMap:
-    """Least step counts from each canonical pair to the fixed pair.
+    """Least step counts from each canonical pair to the nearest fixed pair.
 
-    Pairs whose orbit never reaches the fixed pair are simply absent from
+    ``fixed`` lists the non-zero pairs that are their own image, in code
+    order.  Pairs whose orbit never reaches one are simply absent from
     ``steps``.
     """
 
     base: int
-    fixed: Pair
+    fixed: tuple[Pair, ...]
     steps: dict[Pair, int]
 
 
+def _fixed_pairs(b: int) -> tuple[Pair, ...]:
+    """The non-zero pairs that are their own image: the fixed pair for 5 | b,
+    a scan of every pair for bases 2 and 4; ``ValueError`` for other bases."""
+    if isinstance(classify_base(b), TwoOrFour):
+        pairs = ((d, dp) for d in range(1, b) for dp in range(d + 1))
+        return tuple(p for p in pairs if step_pair(p, b) == p)
+    return (fixed_pair(b),)
+
+
 def pair_distance_map(b: int) -> PairDistanceMap:
-    """Reverse breadth-first distances to the fixed pair; needs 5 | b.
+    """Reverse breadth-first distances to the fixed pairs; needs a base with
+    a fixed numeral (5 | b, or b in {2, 4}).
 
     One guard step per reached pair: a candidate predecessor that is not
     canonical or does not step onto its target raises ``RuntimeError``.
     ``verify --depth deep`` checks the map against the forward pair step.
-    For bases 2 and 4 there is no fixed pair; :func:`base_report` runs
-    their integer orbits instead.
     """
-    target = fixed_pair(b)
-    steps: dict[Pair, int] = {target: 0}
-    frontier = [target]
-    s = 0  # each frontier is one BFS level: its new pairs lie s steps out
-    while frontier:
-        s += 1
-        nxt: list[Pair] = []
-        for p in frontier:
-            for q in predecessors_of(p, b):
-                if not 0 <= q[1] <= q[0] < b or step_pair(q, b) != p:
-                    raise RuntimeError(f"predecessor {q} of {p} misses it in base {b}")
-                if q not in steps:
-                    steps[q] = s
-                    nxt.append(q)
-        frontier = nxt
-    return PairDistanceMap(base=b, fixed=target, steps=steps)
+    fixed = _fixed_pairs(b)
+    steps = dict.fromkeys(fixed, 0)
+    queue = deque(fixed)
+    while queue:
+        p = queue.popleft()
+        s = steps[p] + 1
+        for q in predecessors_of(p, b):
+            if not 0 <= q[1] <= q[0] < b or step_pair(q, b) != p:
+                raise RuntimeError(f"predecessor {q} of {p} misses it in base {b}")
+            if q not in steps:
+                steps[q] = s
+                queue.append(q)
+    return PairDistanceMap(base=b, fixed=fixed, steps=steps)
 
 
-def fixed_numeral_value(b: int) -> int:
-    """The unique non-zero fixed numeral for 5 | b.
+def fixed_numerals(b: int) -> list[int]:
+    """The non-zero fixed numerals of base ``b``, ascending; [] when it has none.
 
-    Computed as the one-step image of any numeral carrying the fixed pair,
-    not from a digit formula, so it stays independent of the closed-form
-    predictors.
+    Each is the one-step image of a numeral carrying one of the fixed pairs,
+    not a digit formula, so it stays independent of the closed-form
+    predictors.  A value that is not its own image raises ``RuntimeError``.
     """
-    d, dp = fixed_pair(b)
-    representative = join_digits((d, dp, 0, 0), b)
-    return step_value(representative, b)
+    if isinstance(classify_base(b), NoFixedPoint):
+        return []
+    values = []
+    for d, dp in _fixed_pairs(b):
+        v = step_value(join_digits((d, dp, 0, 0), b), b)
+        if step_value(v, b) != v:
+            raise RuntimeError(f"pair ({d}, {dp}) gives {v}, not a fixed numeral of base {b}")
+        values.append(v)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -196,34 +210,23 @@ class BaseReport:
 
 def _pairs_report(pdm: PairDistanceMap) -> BaseReport:
     b = pdm.base
-    hist: dict[int, int] = {0: 1, 1: pair_count(pdm.fixed, b) - 1}
-    for p, s in pdm.steps.items():
-        if p == pdm.fixed:
-            continue
-        hist[s + 1] = hist.get(s + 1, 0) + pair_count(p, b)
-    return BaseReport(b, dict(sorted(hist.items())), [fixed_numeral_value(b)])
-
-
-def _orbit_report(b: int) -> BaseReport:
-    """BaseReport from the trajectory of every numeral; for bases 2 and 4."""
     hist: dict[int, int] = {}
-    fixed: set[int] = set()
-    for v in range(b**4):
-        t = trajectory(to_digits(v, b))
-        if isinstance(t.terminal, FixedNumeral):
-            hist[t.distance] = hist.get(t.distance, 0) + 1
-            fixed.add(t.terminal.value)
-    return BaseReport(b, dict(sorted(hist.items())), sorted(fixed))
+    for p, s in pdm.steps.items():
+        hist[s + 1] = hist.get(s + 1, 0) + pair_count(p, b)
+    # a fixed numeral carries its fixed pair but lies 0 steps out, not 1
+    hist[1] -= len(pdm.fixed)
+    hist[0] = len(pdm.fixed)
+    return BaseReport(b, dict(sorted(hist.items())), fixed_numerals(b))
 
 
 def base_report(b: int, method: str = "auto") -> BaseReport:
     """Convergence statistics for one base.
 
     method:
-      - "auto": the route of the base's class: pair-weighted counting for
-        ``FiveMultiple``, the trajectory of every numeral for ``TwoOrFour``,
-        an empty report for ``NoFixedPoint``.
-      - "pairs": force the pair route (multiples of 5 only).
+      - "auto": pair-weighted counting for the bases with a fixed numeral
+        (``FiveMultiple`` and ``TwoOrFour``), an empty report for
+        ``NoFixedPoint``.
+      - "pairs": force the pair route (bases with a fixed numeral only).
       - "enumeration": force the brute-force numpy oracle.
     """
     cls = classify_base(b)
@@ -233,24 +236,19 @@ def base_report(b: int, method: str = "auto") -> BaseReport:
         from .enumeration import convergence_report
 
         return convergence_report(b)
-    if method == "pairs" or isinstance(cls, FiveMultiple):
+    if method == "pairs" or not isinstance(cls, NoFixedPoint):
         return _pairs_report(pair_distance_map(b))
-    if isinstance(cls, TwoOrFour):
-        return _orbit_report(b)
     return BaseReport(b, {}, [])
 
 
 def work_estimate(b: int) -> int:
     """Units of work ``base_report(b)`` does on its route.
 
-    A unit is one reached pair for ``FiveMultiple``: at most b(b+1)/2 when
-    m = 1, exactly 4^(n+1) when m > 1.  It costs ~1-3.5 us.  ``TwoOrFour``
-    counts 10 per numeral, about what its integer orbits cost;
-    ``NoFixedPoint`` counts 1.
+    A unit is one reached pair, ~1-3.5 us: exactly 4^(n+1) for
+    ``FiveMultiple`` with m > 1, at most b(b+1)/2 for the other bases with a
+    fixed numeral.  ``NoFixedPoint`` counts 1.
     """
     cls = classify_base(b)
-    if isinstance(cls, TwoOrFour):
-        return 10 * b**4
-    if isinstance(cls, NoFixedPoint):
-        return 1
-    return b * (b + 1) // 2 if cls.m == 1 else 4 ** (cls.n + 1)
+    if isinstance(cls, FiveMultiple) and cls.m > 1:
+        return 4 ** (cls.n + 1)
+    return 1 if isinstance(cls, NoFixedPoint) else b * (b + 1) // 2

@@ -1,14 +1,16 @@
-"""Closed-form predictions: which bases have a fixed numeral, its digits,
-the worst-case distance, and the convergent fraction.
+"""Closed-form predictions: which bases have a fixed numeral, the
+worst-case distance, and the convergent fraction.
 
 Everything here is a predictor but :func:`grid_landing`, the plain walker
 the test suite checks :mod:`.verify`'s landing memo with; it stays here
 because the benchmark's tracer records it as a span.  Measurements live
 in :mod:`.dynamics`; the two sides are compared by :mod:`.verify` and the
 test suite, never merged.  :mod:`.dynamics` reads :func:`classify_base` only
-to pick each base's route, never a predicted number, and the deep checks
-``no-fixed-numeral``, ``fixed-numerals-exist`` and ``fixed-pair-unique``
-still test that classification against the pair step table.
+to pick each base's route and its fixed pairs, never a predicted number,
+and the deep checks ``no-fixed-numeral``, ``fixed-numerals-exist`` and
+``fixed-pair-unique`` still test that classification against the pair step
+table.  The paper's digit formula for the fixed numeral of 5 | b is held
+against :func:`~kaprekar4.dynamics.fixed_numerals` by the test suite.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digits import DigitQuad, check_base, step_value
+from .digits import check_base
 from .pairs import Pair, step_pair
 
 
@@ -50,18 +52,6 @@ def classify_base(b: int) -> BaseClass:
         n = (q & -q).bit_length() - 1
         return FiveMultiple(m=q >> n, n=n)
     return NoFixedPoint()
-
-
-def fixed_point_digits(b: int) -> DigitQuad:
-    """Digits (3b/5, b/5 - 1, 4b/5 - 1, 2b/5) of the fixed numeral, 5 | b."""
-    check_base(b)
-    if b % 5 != 0:
-        raise ValueError(f"base {b} is not a multiple of 5")
-    u = b // 5
-    q = DigitQuad(b, (3 * u, u - 1, 4 * u - 1, 2 * u))
-    if step_value(q.value, b) != q.value:
-        raise RuntimeError(f"digit formula gives {q.digits}, not a fixed numeral of base {b}")
-    return q
 
 
 _EXPLICIT_MAX_DISTANCE = {2: 1, 4: 3, 5: 4, 10: 7, 20: 10}

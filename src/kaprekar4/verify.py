@@ -33,7 +33,7 @@ from .dynamics import (
     ZeroSink,
     _pairs_report,
     base_report,
-    fixed_numeral_value,
+    fixed_numerals,
     pair_distance_map,
     trajectory,
 )
@@ -136,7 +136,7 @@ def _check_fixed_numeral_landing(b: int) -> Check:
     """Numerals on the fixed pair step onto the fixed numeral; numerals on a
     first-generation predecessor pair never do."""
     target = fixed_pair(b)
-    v_fixed = fixed_numeral_value(b)
+    (v_fixed,) = fixed_numerals(b)
     for x in _pair_numerals(target, b):
         if step_value(x, b) != v_fixed:
             return Check("fixed-numeral-landing", False, f"{x} misses the fixed numeral")
@@ -149,11 +149,9 @@ def _check_fixed_numeral_landing(b: int) -> Check:
     return Check("fixed-numeral-landing", True)
 
 
-def _check_predecessor_inversion(
-    b: int, table: array, pdm: PairDistanceMap | None
-) -> Check:
-    """The predecessor tables equal a scan of the forward step and, when
-    5 | b, the reverse-BFS distance map equals the forward walk."""
+def _check_predecessor_inversion(b: int, table: array, pdm: PairDistanceMap) -> Check:
+    """The predecessor tables equal a scan of the forward step, and the
+    reverse-BFS distance map equals the forward walk."""
     # A rule row is a set and each pair has one image, so the row equals the
     # preimage of code c exactly when it has counts[c] members, each of them
     # canonical and stepping onto c.  A condensed row is then right exactly
@@ -175,22 +173,19 @@ def _check_predecessor_inversion(
             if condensed and condensed_predecessors_of(p, b) != row:
                 return Check("predecessor-inversion", False, f"condensed rules wrong at {p}")
             c += 1
-    if pdm is not None:
-        # The fixed pair has distance 0 and every other pair is in the map
-        # exactly when its image is, one step further out.  Distances then
-        # fall by one along each orbit in the map, so it reaches the fixed
-        # pair: these rules hold exactly when the map equals the forward walk.
-        dist = array("l", [-1]) * len(table)
-        for (x, y), s in pdm.steps.items():
-            dist[x * (x + 1) // 2 + y] = s
-        fixed = _code(pdm.fixed)
-        for c, t in enumerate(table):
-            s = dist[t]
-            want = 0 if c == fixed else -1 if s < 0 else s + 1
-            if dist[c] != want:
-                return Check(
-                    "predecessor-inversion", False, f"distance map wrong at {_pair_at(c)}"
-                )
+    # The fixed pairs have distance 0 and every other pair is in the map
+    # exactly when its image is, one step further out.  Distances then fall
+    # by one along each orbit in the map, so it reaches a fixed pair: these
+    # rules hold exactly when the map equals the forward walk.
+    dist = array("l", [-1]) * len(table)
+    for (x, y), s in pdm.steps.items():
+        dist[x * (x + 1) // 2 + y] = s
+    fixed = {_code(p) for p in pdm.fixed}
+    for c, t in enumerate(table):
+        s = dist[t]
+        want = 0 if c in fixed else -1 if s < 0 else s + 1
+        if dist[c] != want:
+            return Check("predecessor-inversion", False, f"distance map wrong at {_pair_at(c)}")
     return Check("predecessor-inversion", True)
 
 
@@ -447,7 +442,7 @@ def verify_base(b: int, depth: str = "formulas") -> PredictionReport:
         raise ValueError(f"depth must be one of {DEPTHS}, got {depth!r}")
     cls = classify_base(b)
     # the deep checks validate the very map that gives the measured numbers
-    pdm = pair_distance_map(b) if isinstance(cls, FiveMultiple) else None
+    pdm = None if isinstance(cls, NoFixedPoint) else pair_distance_map(b)
     report = base_report(b) if pdm is None else _pairs_report(pdm)
     out = judge(report)
     if depth != "deep":
@@ -458,10 +453,13 @@ def verify_base(b: int, depth: str = "formulas") -> PredictionReport:
         case NoFixedPoint():
             out.checks.append(_check_self_fixed("no-fixed-numeral", table, {(0, 0)}))
         case TwoOrFour():
+            # the walk must start from every non-zero pair the table fixes
             fixed = report.fixed_numerals
+            self_fixed = {_pair_at(c) for c, t in enumerate(table) if c == t}
+            ok = bool(fixed) and self_fixed == {(0, 0), *pdm.fixed}
             out.checks += [
-                _check_predecessor_inversion(b, table, None),
-                Check("fixed-numerals-exist", bool(fixed), f"fixed numerals {fixed}"),
+                _check_predecessor_inversion(b, table, pdm),
+                Check("fixed-numerals-exist", ok, f"fixed numerals {fixed}"),
             ]
         case FiveMultiple(m=m, n=n):
             out.checks += [

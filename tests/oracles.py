@@ -16,7 +16,9 @@ bases.  :func:`canonical_pairs` lists the pairs the scans and walks run
 over; the package itself only ever indexes them by code.
 :func:`integer_distance` is the exception: it reads a numeral's distance
 off the package's own pair map, so the tests can hold that map against
-orbits run value by value.
+orbits run value by value.  :func:`fixed_point_digits` is the paper's
+digit formula for the fixed numeral, which the package does not use; the
+tests hold it against the package's fixed numerals and full scans.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from collections import Counter
 import numpy as np
 
 from kaprekar4.digits import DigitQuad, check_base
-from kaprekar4.dynamics import BaseReport, PairDistanceMap, fixed_numeral_value
+from kaprekar4.dynamics import BaseReport, PairDistanceMap, fixed_numerals
 from kaprekar4.pairs import pair_of_digits, step_pair
 
 
@@ -47,7 +49,7 @@ def integer_distance(q: DigitQuad, pdm: PairDistanceMap) -> int | None:
     """
     if q.base != pdm.base:
         raise ValueError(f"numeral base {q.base} != distance map base {pdm.base}")
-    if q.value == fixed_numeral_value(q.base):
+    if q.value in fixed_numerals(q.base):
         return 0
     s = pdm.steps.get(pair_of_digits(q.digits))
     return None if s is None else s + 1
@@ -72,6 +74,19 @@ def oracle_value(digits, b: int) -> int:
 def oracle_step(x: int, b: int) -> int:
     digs = sorted(oracle_digits(x, b))
     return oracle_value(digs[::-1], b) - oracle_value(digs, b)
+
+
+def fixed_point_digits(b: int) -> DigitQuad:
+    """The paper's digits (3b/5, b/5 - 1, 4b/5 - 1, 2b/5) of the fixed
+    numeral, 5 | b; a value that is not its own image raises RuntimeError."""
+    check_base(b)
+    if b % 5 != 0:
+        raise ValueError(f"base {b} is not a multiple of 5")
+    u = b // 5
+    q = DigitQuad(b, (3 * u, u - 1, 4 * u - 1, 2 * u))
+    if oracle_step(q.value, b) != q.value:
+        raise RuntimeError(f"digit formula gives {q.digits}, not a fixed numeral of base {b}")
+    return q
 
 
 def oracle_pair(x: int, b: int) -> tuple[int, int]:
@@ -127,9 +142,12 @@ def oracle_distance(x: int, b: int, fixed_values: set[int], cap: int = 100000) -
     raise AssertionError("oracle distance cap exceeded")
 
 
-def oracle_pair_distances(b: int, fixed: tuple[int, int]) -> dict[tuple[int, int], int]:
-    """Steps from each pair to ``fixed``, by walking every pair orbit forward."""
-    steps: dict[tuple[int, int], int] = {fixed: 0}
+def oracle_pair_distances(
+    b: int, fixed: tuple[tuple[int, int], ...]
+) -> dict[tuple[int, int], int]:
+    """Steps from each pair to the nearest of ``fixed``, by walking every
+    pair orbit forward."""
+    steps: dict[tuple[int, int], int] = dict.fromkeys(fixed, 0)
     for start in canonical_pairs(b):
         path: list[tuple[int, int]] = []
         on_path: set[tuple[int, int]] = set()
@@ -142,7 +160,7 @@ def oracle_pair_distances(b: int, fixed: tuple[int, int]) -> dict[tuple[int, int
             base_steps = steps[cur]
             for offset, q in enumerate(reversed(path), start=1):
                 steps[q] = base_steps + offset
-        # a revisit within the path means a cycle avoiding the fixed pair:
+        # a revisit within the path means a cycle avoiding the fixed pairs:
         # every pair on the path stays absent
     return steps
 

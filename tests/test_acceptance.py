@@ -16,7 +16,7 @@ from kaprekar4.digits import join_digits, step_value, to_digits
 from kaprekar4.dynamics import (
     FixedNumeral,
     base_report,
-    fixed_numeral_value,
+    fixed_numerals,
     trajectory,
 )
 from kaprekar4.pairs import (
@@ -129,7 +129,7 @@ def test_criterion_06_full_convergence_sizes():
     # spot-validation: every sampled non-repdigit orbit reaches the fixed
     # numeral within the measured worst case
     b = 40
-    fixed = fixed_numeral_value(b)
+    (fixed,) = fixed_numerals(b)
     repunit = join_digits((1, 1, 1, 1), b)
     cap = rep40.max_distance
     rng = random.Random(40_404)

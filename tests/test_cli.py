@@ -310,6 +310,7 @@ def test_sweep_fixedpoints_reuses_report(monkeypatch):
         return real(b, *args, **kwargs)
 
     monkeypatch.setattr(cli_mod, "base_report", counted)
+    # fixedpoints reads the fixed pairs: base 4 is still measured once
     row = cli_mod._sweep_worker((4, frozenset({"mb", "fixedpoints"})))
     assert calls == [4]
     assert row["fixed_points"] == real(4).fixed_numerals
@@ -328,7 +329,8 @@ def test_sweep_text_format(capsys):
 # The installed-wheel step of .github/workflows/tier1.yml compares this
 # command's --jobs 2 output with its --jobs 1 output; its estimate must
 # plan a pool there, or the step would compare two serial runs.  It runs
-# bases 2 and 4 (the orbit route) and the grid checks of n = 2, 3 and 5.
+# bases 2 and 4 (the pair walk from their own fixed pairs) and the grid
+# checks of n = 2, 3 and 5.
 POOL_VERIFY = ["verify", "--bases", "2..170", "--depth", "deep"]
 
 
@@ -427,8 +429,8 @@ def test_default_jobs_counts_only_usable_cpus(capsys, monkeypatch, stand_in_pool
 
 def test_benchmark_sweep_plans_in_process():
     # the benchmark's sweep does ~0.06 s of work, 0.04 s of it base 160: a
-    # second worker could take ~8,000 units off the critical path, less than
-    # a pool costs to start.  sweep 2..400 could take ~24,000 off, more than
+    # second worker could take ~5,500 units off the critical path, less than
+    # a pool costs to start.  sweep 2..400 could take ~21,700 off, more than
     # the start-up, but not enough to also pay for feeding 399 tasks
     runs = [["sweep", "--bases", "2..200", "--metrics", "mb,cb", "--format", "csv"],
             ["sweep", "--bases", "2..400"]]
@@ -467,10 +469,10 @@ def test_broken_pool_names_the_lost_bases(capsys, monkeypatch, stand_in_pool):
                          "--jobs", "2")
     assert code == 4
     assert out == ""
-    # bases 4 and 40 came back; the first lost base is the next largest
-    assert stand_in_pool.bases[:2] == [4, 40]
+    # bases 40 and 20 came back; the first lost base is the next largest
+    assert stand_in_pool.bases[:2] == [40, 20]
     assert err.startswith("internal error: BrokenProcessPool(")
-    assert ("no row came back for bases 20, 2, 10, 30, 5, 15, 25, 35, 3, 6 and 27 more"
+    assert ("no row came back for bases 10, 30, 5, 4, 15, 25, 35, 2, 3, 6 and 27 more"
             " (largest estimate first)") in err
 
 

@@ -4,20 +4,17 @@ import pytest
 
 from kaprekar4.digits import DigitQuad, join_digits, to_digits
 from kaprekar4.dynamics import (
-    BaseReport,
     Cycle,
     FixedNumeral,
-    PairDistanceMap,
     UndeterminedOrbitError,
     ZeroSink,
-    _orbit_report,
     base_report,
-    fixed_numeral_value,
+    fixed_numerals,
     pair_distance_map,
     trajectory,
     work_estimate,
 )
-from kaprekar4.pairs import fixed_pair, pair_count, step_pair
+from kaprekar4.pairs import pair_count, step_pair
 from kaprekar4.predictions import FiveMultiple, NoFixedPoint, TwoOrFour, classify_base
 from oracles import (
     canonical_pairs,
@@ -25,6 +22,7 @@ from oracles import (
     integer_distance,
     oracle_distance,
     oracle_pair_distances,
+    oracle_pair_step,
     oracle_step,
     zero_orbit_values,
 )
@@ -94,7 +92,7 @@ def test_unbounded_orbit_ends_within_pair_count():
 
 def test_pair_distance_map_base_10():
     pdm = pair_distance_map(10)
-    assert pdm.fixed == (6, 2)
+    assert pdm.fixed == ((6, 2),)
     assert pdm.steps.get((6, 2)) == 0
     assert pdm.steps.get((8, 1)) == 2
     assert pdm.steps.get((9, 0)) == pdm.steps.get((8, 1)) + 1
@@ -103,11 +101,14 @@ def test_pair_distance_map_base_10():
     assert max(pdm.steps.values()) == 6
 
 
-def test_pair_distance_map_needs_multiple_of_five():
+def test_pair_distance_map_needs_a_fixed_numeral():
     with pytest.raises(ValueError):
         pair_distance_map(7)
-    with pytest.raises(ValueError):
-        pair_distance_map(4)
+    # bases 2 and 4 walk from every pair that is its own image
+    assert pair_distance_map(2).fixed == ((1, 0), (1, 1))
+    assert pair_distance_map(2).steps == {(1, 0): 0, (1, 1): 0}
+    assert pair_distance_map(4).fixed == ((3, 1),)
+    assert max(pair_distance_map(4).steps.values()) == 2
 
 
 def test_pair_distances_decrease_along_step():
@@ -119,9 +120,11 @@ def test_pair_distances_decrease_along_step():
 
 
 def test_pair_distance_map_matches_forward_walk():
-    for b in range(5, 121, 5):
+    for b in (2, 4, *range(5, 121, 5)):
         pdm = pair_distance_map(b)
-        assert pdm.steps == oracle_pair_distances(b, pdm.fixed), b
+        fixed = tuple(p for p in canonical_pairs(b) if p[0] and oracle_pair_step(p, b) == p)
+        assert pdm.fixed == fixed, b
+        assert pdm.steps == oracle_pair_distances(b, fixed), b
 
 
 @pytest.mark.parametrize("b, reached", [(10, None), (20, None), (40, None), (320, 38601)])
@@ -149,12 +152,13 @@ def test_one_guard_step_per_reached_pair(monkeypatch, b, reached):
 
 def test_work_estimate_bounds_the_pair_route():
     # the CLI plans its pool from this estimate: it may not undercount
-    for b in range(5, 401, 5):
+    for b in (2, 4, *range(5, 401, 5)):
         reached = len(pair_distance_map(b).steps)
         estimate = work_estimate(b)
         assert reached <= estimate, b
-        if classify_base(b).m > 1:
+        if b > 4 and classify_base(b).m > 1:
             assert reached == estimate, b
+    assert [work_estimate(b) for b in (2, 4)] == [3, 10]
 
 
 def test_work_estimate_of_other_routes(monkeypatch):
@@ -163,32 +167,26 @@ def test_work_estimate_of_other_routes(monkeypatch):
     import kaprekar4.dynamics as dynamics_mod
 
     routes = []
-
-    def orbits(b):
-        routes.append("orbits")
-        return BaseReport(b, {}, [])
+    real = dynamics_mod.pair_distance_map
 
     def pairs(b):
         routes.append("pairs")
-        return PairDistanceMap(b, fixed_pair(b), {fixed_pair(b): 0})
+        return real(b)
 
-    monkeypatch.setattr(dynamics_mod, "_orbit_report", orbits)
     monkeypatch.setattr(dynamics_mod, "pair_distance_map", pairs)
-    want_route = {TwoOrFour: ["orbits"], FiveMultiple: ["pairs"], NoFixedPoint: []}
+    want_route = {TwoOrFour: ["pairs"], FiveMultiple: ["pairs"], NoFixedPoint: []}
     for b in range(2, 401):
         routes.clear()
         base_report(b)
         assert routes == want_route[type(classify_base(b))], b
-        if b in (2, 4):
-            want = 10 * b**4
-        elif b % 5:
+        if b % 5 and b not in (2, 4):
             want = 1
-        elif (b // 5) & (b // 5 - 1) == 0:  # b = 5 * 2^n
+        elif b % 5 or (b // 5) & (b // 5 - 1) == 0:  # b in {2, 4} or b = 5 * 2^n
             want = b * (b + 1) // 2
         else:  # 4^(n+1) for b = 5m * 2^n, m > 1 odd
             want = 4 * (b & -b) ** 2
         assert work_estimate(b) == want, b
-    assert [work_estimate(b) for b in (2, 3, 4, 6, 65536)] == [160, 1, 2560, 1, 1]
+    assert [work_estimate(b) for b in (2, 3, 4, 6, 65536)] == [3, 1, 10, 1, 1]
 
 
 def test_integer_distance_examples():
@@ -205,7 +203,7 @@ def test_integer_distance_matches_orbit_sampling():
     rng = random.Random(1729)
     for b in (10, 20):
         pdm = pair_distance_map(b)
-        fixed = {fixed_numeral_value(b)}
+        fixed = set(fixed_numerals(b))
         for _ in range(200):
             x = rng.randrange(b**4)
             assert integer_distance(to_digits(x, b), pdm) == oracle_distance(x, b, fixed)
@@ -245,17 +243,29 @@ def test_base_report_2_and_4():
     assert rep4.histogram == {0: 1, 1: 47, 2: 24, 3: 12}
 
 
-def test_orbit_report_matches_both_oracles():
+def test_pair_report_matches_both_oracles():
     from kaprekar4.enumeration import convergence_report
 
-    # field by field, and in the key order the numpy oracle gives
+    # field by field, and in the key order the numpy oracle gives: bases 2
+    # and 4, 5 and 10 on the pair route, the rest without a fixed numeral
     for b in range(2, 13):
-        via_orbits = _orbit_report(b)
+        report = base_report(b)
         for other in (convergence_report(b), full_report(b)):
-            assert via_orbits.base == other.base, b
-            assert via_orbits.histogram == other.histogram, b
-            assert list(via_orbits.histogram) == list(other.histogram), b
-            assert via_orbits.fixed_numerals == other.fixed_numerals, b
+            assert report.base == other.base, b
+            assert report.histogram == other.histogram, b
+            assert list(report.histogram) == list(other.histogram), b
+            assert report.fixed_numerals == other.fixed_numerals, b
+
+
+def test_bases_2_and_4_run_no_integer_orbit(monkeypatch):
+    import kaprekar4.dynamics as dynamics_mod
+
+    def no_orbits(*args, **kwargs):
+        raise AssertionError("an integer orbit was run")
+
+    monkeypatch.setattr(dynamics_mod, "trajectory", no_orbits)
+    assert base_report(2).histogram == {0: 2, 1: 12}
+    assert base_report(4).histogram == {0: 1, 1: 47, 2: 24, 3: 12}
 
 
 def test_base_report_no_fixed_point():
@@ -278,7 +288,7 @@ def test_base_report_methods_agree():
         assert via_pairs.convergent_fraction == via_enum.convergent_fraction, b
         assert via_pairs.histogram == via_enum.histogram, b
         assert via_pairs.fixed_numerals == via_enum.fixed_numerals, b
-    # bases 2 and 4: the orbit walk of "auto" against the numpy oracle
+    # bases 2 and 4: the pair route of "auto" against the numpy oracle
     for b in (2, 4):
         assert base_report(b) == base_report(b, method="enumeration"), b
     with pytest.raises(ValueError):

@@ -228,7 +228,7 @@ def test_dynamics_reads_only_the_classification_from_predictions():
 
 def test_cli_judges_only_through_verify():
     # sweep's match cells are verify's verdicts: the CLI reads no predicted
-    # number itself, only the classification and the fixed numeral's digits
+    # number itself, only the classification
     tree = ast.parse(Path(cli.__file__).read_text())
     names: dict[str, set] = {}
     for node in ast.walk(tree):
@@ -238,5 +238,5 @@ def test_cli_judges_only_through_verify():
             assert not {"predictions", "verify"} & {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
             assert not [a for a in node.names if a.name.split(".")[-1] == "predictions"]
-    assert names["predictions"] == {"FiveMultiple", "classify_base", "fixed_point_digits"}
+    assert names["predictions"] == {"FiveMultiple", "classify_base"}
     assert "judge" in names["verify"]

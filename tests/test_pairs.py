@@ -206,15 +206,15 @@ def test_predecessor_guard_raises(monkeypatch, capsys):
 def test_guards_survive_python_O():
     # python -O strips assert statements; the transcription guards must still raise
     probe = (
-        "import kaprekar4.dynamics as d, kaprekar4.predictions as pr\n"
+        "import kaprekar4.dynamics as d\n"
         "real = d.predecessors_of\n"
         "def corrupt(extra):\n"
         "    row = lambda pair, b: real(pair, b) | ({extra} if pair == (6, 2) else set())\n"
         "    d.predecessors_of = row\n"
         "    return d.pair_distance_map(10)\n"
-        "pr.step_value = lambda x, b: None\n"
         f"calls = [lambda e=e: corrupt(e) for e in {_extra_candidates(10)}]\n"
-        "for call in calls + [lambda: pr.fixed_point_digits(10)]:\n"
+        "d.step_value = lambda x, b: x + 1\n"
+        "for call in calls + [lambda: d.fixed_numerals(10)]:\n"
         "    try:\n"
         "        call()\n"
         "    except RuntimeError:\n"
@@ -261,13 +261,12 @@ PUBLIC = {
 MODULE_ONLY = {
     "join_digits": "digits", "split_digits": "digits",
     "PairDistanceMap": "dynamics", "Terminal": "dynamics",
-    "fixed_numeral_value": "dynamics", "pair_distance_map": "dynamics",
+    "fixed_numerals": "dynamics", "pair_distance_map": "dynamics",
     "PairType": "pairs", "fixed_pair": "pairs", "pair_count": "pairs",
     "pair_of_digits": "pairs", "step_pair": "pairs",
     "BaseClass": "predictions", "FiveMultiple": "predictions",
     "NoFixedPoint": "predictions", "TwoOrFour": "predictions",
-    "classify_base": "predictions", "fixed_point_digits": "predictions",
-    "grid_landing": "predictions",
+    "classify_base": "predictions", "grid_landing": "predictions",
     "GridArrival": "tables", "LandingWitness": "tables", "cell_step_bound": "tables",
     "cycle_cells": "tables", "grid_arrival": "tables", "landing_bound": "tables",
     "landing_witnesses": "tables", "max_total_steps": "tables",
@@ -290,7 +289,7 @@ def test_public_names_are_pinned():
     assert exported == PUBLIC
     assert len(PUBLIC) == 16
     # narrowing the top level removed no capability
-    assert len(MODULE_ONLY) == 26 and not PUBLIC & MODULE_ONLY.keys()
+    assert len(MODULE_ONLY) == 25 and not PUBLIC & MODULE_ONLY.keys()
     for name, mod in MODULE_ONLY.items():
         value = getattr(importlib.import_module(f"kaprekar4.{mod}"), name)
         # BaseClass and Terminal are unions of classes
@@ -406,11 +405,11 @@ def _numerals_with_pair(pair, b):
 
 
 def test_fixed_pair_carriers_land_and_predecessors_do_not():
-    from kaprekar4.dynamics import fixed_numeral_value
+    from kaprekar4.dynamics import fixed_numerals
 
     for b in (5, 10, 15, 20):
         target = fixed_pair(b)
-        v = fixed_numeral_value(b)
+        (v,) = fixed_numerals(b)
         for x in _numerals_with_pair(target, b):
             assert step_value(x, b) == v
         for p in predecessors_of(target, b) - {target}:

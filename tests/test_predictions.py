@@ -8,7 +8,6 @@ from kaprekar4.predictions import (
     NoFixedPoint,
     TwoOrFour,
     classify_base,
-    fixed_point_digits,
     grid_landing,
     predict_convergent_fraction,
     predict_max_distance,
@@ -21,8 +20,9 @@ from kaprekar4.tables import (
     landing_witnesses,
     max_total_steps,
 )
+from kaprekar4.dynamics import fixed_numerals
 from kaprekar4.pairs import step_pair
-from oracles import oracle_step
+from oracles import fixed_point_digits, oracle_step
 
 
 def test_classify_base():
@@ -56,15 +56,21 @@ def test_fixed_point_digits():
     with pytest.raises(ValueError):
         fixed_point_digits(12)
     for b in (5, 10, 15, 20):
-        assert _fixed_scan(b) == [fixed_point_digits(b).value]
+        assert _fixed_scan(b) == [fixed_point_digits(b).value] == fixed_numerals(b)
+    # the pair route's fixed numerals follow the digit formula far past the scans
+    for b in (*range(25, 1001, 5), 65535):
+        assert fixed_numerals(b) == [fixed_point_digits(b).value], b
+    for b in (2, 4, 7):
+        assert _fixed_scan(b) == fixed_numerals(b)
+    assert fixed_numerals(7) == []
 
 
 def test_fixed_point_guard_raises(monkeypatch):
-    import kaprekar4.predictions as predictions_mod
+    import kaprekar4.dynamics as dynamics_mod
 
-    monkeypatch.setattr(predictions_mod, "step_value", lambda x, b: None)
+    monkeypatch.setattr(dynamics_mod, "step_value", lambda x, b: x + 1)
     with pytest.raises(RuntimeError):
-        fixed_point_digits(10)
+        fixed_numerals(10)
 
 
 def test_predict_max_distance_values():

@@ -1,11 +1,12 @@
 import sys
+from fractions import Fraction
 
 import pytest
 
 import kaprekar4.tables as tables
 import kaprekar4.verify as verify_mod
 from kaprekar4.digits import step_value
-from kaprekar4.dynamics import pair_distance_map
+from kaprekar4.dynamics import PairDistanceMap, pair_distance_map
 from kaprekar4.pairs import (
     _code,
     _pair_at,
@@ -125,9 +126,11 @@ def _drop_one(steps):
 
 
 def _add_one(steps):
-    # the orbit of (2, 2) never reaches the fixed pair of base 20
-    assert (2, 2) not in steps
-    steps[(2, 2)] = 1
+    # the orbit of (2, 2) never reaches the fixed pair of base 20; in base 4
+    # it does, and the orbit of (2, 1) never reaches (3, 1)
+    p = (2, 2) if (2, 2) not in steps else (2, 1)
+    assert p not in steps
+    steps[p] = 1
 
 
 @pytest.mark.parametrize("corrupt", [_off_by_one, _drop_one, _add_one])
@@ -135,12 +138,13 @@ def test_wrong_distance_map_fails_predecessor_inversion(monkeypatch, capsys, cor
     from kaprekar4.cli import main
 
     _break_distance_map(monkeypatch, corrupt)
-    rep = verify_base(20, "deep")
-    (check,) = [c for c in rep.checks if c.label == "predecessor-inversion"]
-    assert not check.passed
-    assert check.detail.startswith("distance map wrong at ")
-    assert not rep.all_match
-    assert main(["verify", "--bases", "20..20", "--depth", "deep", "--jobs", "1"]) == 1
+    for b in (20, 4):
+        rep = verify_base(b, "deep")
+        (check,) = [c for c in rep.checks if c.label == "predecessor-inversion"]
+        assert not check.passed, b
+        assert check.detail.startswith("distance map wrong at "), b
+        assert not rep.all_match, b
+        assert main(["verify", "--bases", f"{b}..{b}", "--depth", "deep", "--jobs", "1"]) == 1
     capsys.readouterr()
 
 
@@ -262,10 +266,10 @@ def test_table_slip_fails_its_check(monkeypatch, capsys, slip, label, detail):
 )
 def test_wrong_step_fails_fixed_numeral_landing(monkeypatch, capsys, at, lands, detail):
     from kaprekar4.cli import main
-    from kaprekar4.dynamics import fixed_numeral_value
+    from kaprekar4.dynamics import fixed_numerals
 
     real = verify_mod.step_value
-    v_fixed = fixed_numeral_value(20)
+    (v_fixed,) = fixed_numerals(20)
 
     def wrong(x, b):
         if x != at:
@@ -279,6 +283,21 @@ def test_wrong_step_fails_fixed_numeral_landing(monkeypatch, capsys, at, lands, 
     ]
     assert main(["verify", "--bases", "20..20", "--depth", "deep", "--jobs", "1"]) == 1
     capsys.readouterr()
+
+
+def test_missing_fixed_pair_fails_fixed_numerals_exist(monkeypatch):
+    # a walk from (1, 0) alone misses base 2's fixed numeral 1001 and the
+    # six numerals on its pair (1, 1), yet its map is right for (1, 0)
+    import kaprekar4.dynamics as dynamics_mod
+
+    real = dynamics_mod._fixed_pairs
+    monkeypatch.setattr(dynamics_mod, "_fixed_pairs", lambda b: real(b)[:1])
+    rep = verify_base(2, "deep")
+    assert rep.measured_fraction == Fraction(1, 2)
+    assert [(c.label, c.detail) for c in rep.checks if not c.passed] == [
+        ("fixed-numerals-exist", "fixed numerals [7]")
+    ]
+    assert not rep.all_match
 
 
 @pytest.mark.parametrize("b", [15, 20, 60, 160])
@@ -346,13 +365,13 @@ def test_deep_verify_call_counts(monkeypatch, b):
     # (predecessor-inversion) and for the fixed pair (fixed-numeral-landing);
     # one condensed row per canonical pair when 4 | b; one count per reached
     # pair; and inside fixed-numeral-landing one integer step per numeral on
-    # the fixed pair and on its first-generation predecessors, plus the one
-    # that finds the fixed numeral
+    # the fixed pair and on its first-generation predecessors, plus the two
+    # that find the fixed numeral and check that it is its own image
     reached = len(pair_distance_map(b).steps)
     pairs = b * (b + 1) // 2
     target = fixed_pair(b)
     first_gen = [p for p in canonical_pairs(b) if p != target and step_pair(p, b) == target]
-    landing_steps = 1 + sum((b - d) * (d - dp + 1) for d, dp in [target, *first_gen])
+    landing_steps = 2 + sum((b - d) * (d - dp + 1) for d, dp in [target, *first_gen])
 
     inside = []
     real_landing = verify_mod._check_fixed_numeral_landing
@@ -375,7 +394,7 @@ def test_deep_verify_call_counts(monkeypatch, b):
     assert len(counts) == reached
     assert len(steps) == landing_steps
     if b == 320:
-        assert (len(rows), len(counts), len(steps)) == (89962, 38601, 41409)
+        assert (len(rows), len(counts), len(steps)) == (89962, 38601, 41410)
 
 
 def _descending_numerals_by_pair(b, spreads):
@@ -479,8 +498,10 @@ def test_wrong_preimage_fails_predecessor_inversion(
 @pytest.mark.parametrize("b", [61, 62, 63, 64, 66, 127, 128])
 def test_rule_rows_at_bases_verify_skips(b):
     # verify runs predecessor-inversion only for b in {2, 4} and 5 | b; these
-    # bases cover both parities, every b mod 4, and the condensed rules
-    assert verify_mod._check_predecessor_inversion(b, _step_table(b), None).passed
+    # bases cover both parities, every b mod 4, and the condensed rules.  A
+    # base with no fixed pair reaches none, so its distance map is empty
+    empty = PairDistanceMap(b, (), {})
+    assert verify_mod._check_predecessor_inversion(b, _step_table(b), empty).passed
 
 
 @pytest.mark.parametrize("b", [20, 40, 80, 160, 320])
