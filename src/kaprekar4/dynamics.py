@@ -1,14 +1,14 @@
 """Orbit analysis: trajectories, distance maps over the pair graph, and
 per-base convergence statistics.
 
-A base has a non-zero fixed numeral exactly when its
-:func:`~kaprekar4.predictions.classify_base` class is ``FiveMultiple`` or
-``TwoOrFour``.  Both take one route: the pair graph is walked backwards
-from the pairs that are their own image, and each pair is weighted by how
+Every base takes one route: the pair graph is walked backwards from the
+non-zero pairs that are their own image, and each pair is weighted by how
 many numerals carry it.  Those pairs are also the one source of the fixed
-numerals.  ``NoFixedPoint``: an empty report.  The numpy oracle in
-:mod:`kaprekar4.enumeration` is an independent route, run only on demand
-(``method="enumeration"``) and by the tests.
+numerals.  A base's :func:`~kaprekar4.predictions.classify_base` class
+picks only those pairs: the fixed pair for ``FiveMultiple``, a scan for
+``TwoOrFour``, none for ``NoFixedPoint``, whose report is then empty.  The
+numpy oracle in :mod:`kaprekar4.enumeration` is an independent route, run
+only on demand (``method="enumeration"``) and by the tests.
 """
 
 from __future__ import annotations
@@ -127,16 +127,17 @@ class PairDistanceMap:
 
 def _fixed_pairs(b: int) -> tuple[Pair, ...]:
     """The non-zero pairs that are their own image: the fixed pair for 5 | b,
-    a scan of every pair for bases 2 and 4; ``ValueError`` for other bases."""
-    if isinstance(classify_base(b), TwoOrFour):
+    a scan of every pair for bases 2 and 4, none for other bases."""
+    cls = classify_base(b)
+    if isinstance(cls, TwoOrFour):
         pairs = ((d, dp) for d in range(1, b) for dp in range(d + 1))
         return tuple(p for p in pairs if step_pair(p, b) == p)
-    return (fixed_pair(b),)
+    return (fixed_pair(b),) if isinstance(cls, FiveMultiple) else ()
 
 
 def pair_distance_map(b: int) -> PairDistanceMap:
-    """Reverse breadth-first distances to the fixed pairs; needs a base with
-    a fixed numeral (5 | b, or b in {2, 4}).
+    """Reverse breadth-first distances to the fixed pairs; empty for a base
+    with no fixed numeral, which has no fixed pair to start from.
 
     One guard step per reached pair: a candidate predecessor that is not
     canonical or does not step onto its target raises ``RuntimeError``.
@@ -164,8 +165,6 @@ def fixed_numerals(b: int) -> list[int]:
     not a digit formula, so it stays independent of the closed-form
     predictors.  A value that is not its own image raises ``RuntimeError``.
     """
-    if isinstance(classify_base(b), NoFixedPoint):
-        return []
     values = []
     for d, dp in _fixed_pairs(b):
         v = step_value(join_digits((d, dp, 0, 0), b), b)
@@ -213,9 +212,10 @@ def _pairs_report(pdm: PairDistanceMap) -> BaseReport:
     hist: dict[int, int] = {}
     for p, s in pdm.steps.items():
         hist[s + 1] = hist.get(s + 1, 0) + pair_count(p, b)
-    # a fixed numeral carries its fixed pair but lies 0 steps out, not 1
-    hist[1] -= len(pdm.fixed)
-    hist[0] = len(pdm.fixed)
+    if pdm.fixed:
+        # a fixed numeral carries its fixed pair but lies 0 steps out, not 1
+        hist[1] -= len(pdm.fixed)
+        hist[0] = len(pdm.fixed)
     return BaseReport(b, dict(sorted(hist.items())), fixed_numerals(b))
 
 
@@ -223,22 +223,18 @@ def base_report(b: int, method: str = "auto") -> BaseReport:
     """Convergence statistics for one base.
 
     method:
-      - "auto": pair-weighted counting for the bases with a fixed numeral
-        (``FiveMultiple`` and ``TwoOrFour``), an empty report for
-        ``NoFixedPoint``.
-      - "pairs": force the pair route (bases with a fixed numeral only).
+      - "auto": pair-weighted counting over the walk from the fixed pairs;
+        a base with none gets an empty report.
+      - "pairs": the same route as "auto".
       - "enumeration": force the brute-force numpy oracle.
     """
-    cls = classify_base(b)
     if method not in ("auto", "pairs", "enumeration"):
         raise ValueError(f"unknown method {method!r}")
     if method == "enumeration":
         from .enumeration import convergence_report
 
         return convergence_report(b)
-    if method == "pairs" or not isinstance(cls, NoFixedPoint):
-        return _pairs_report(pair_distance_map(b))
-    return BaseReport(b, {}, [])
+    return _pairs_report(pair_distance_map(b))
 
 
 def work_estimate(b: int) -> int:

@@ -6,9 +6,9 @@ the test suite checks :mod:`.verify`'s landing memo with; it stays here
 because the benchmark's tracer records it as a span.  Measurements live
 in :mod:`.dynamics`; the two sides are compared by :mod:`.verify` and the
 test suite, never merged.  :mod:`.dynamics` reads :func:`classify_base` only
-to pick each base's route and its fixed pairs, never a predicted number,
-and the deep checks ``no-fixed-numeral``, ``fixed-numerals-exist`` and
-``fixed-pair-unique`` still test that classification against the pair step
+to pick the pairs each base's walk starts from, never a predicted number,
+and one deep check, labelled ``no-fixed-numeral``, ``fixed-numerals-exist``
+or ``fixed-pair-unique`` by class, tests those pairs against the pair step
 table.  The paper's digit formula for the fixed numeral of 5 | b is held
 against :func:`~kaprekar4.dynamics.fixed_numerals` by the test suite.
 """

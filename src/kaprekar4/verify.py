@@ -12,11 +12,13 @@ target, in :func:`pair_distance_map`'s guard, and a pair past the 2n + 8
 landing budget, in ``_grid_landings``.
 
 The deep checks of one base share two results: the distance map, which also
-gives the measured numbers, and the step table of :mod:`pairs`.  The checks
-walk pair orbits only through that table, and read every grid landing, the
-witnesses' too, from one memo over it.  Each general predecessor rule row is
-checked against the table by count and image, and each condensed row
-against the general one.
+gives the measured numbers, and the step table of :mod:`pairs`.  Every base
+builds the map, an empty one when it has no fixed pair, and one check,
+labelled by class, holds the pairs the table fixes to the map's start set
+plus (0, 0).  The checks walk pair orbits only through that table, and read
+every grid landing, the witnesses' too, from one memo over it.  Each general
+predecessor rule row is checked against the table by count and image, and
+each condensed row against the general one.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .dynamics import (
     PairDistanceMap,
     ZeroSink,
     _pairs_report,
-    base_report,
     fixed_numerals,
     pair_distance_map,
     trajectory,
@@ -187,13 +188,6 @@ def _check_predecessor_inversion(b: int, table: array, pdm: PairDistanceMap) -> 
         if dist[c] != want:
             return Check("predecessor-inversion", False, f"distance map wrong at {_pair_at(c)}")
     return Check("predecessor-inversion", True)
-
-
-def _check_self_fixed(label: str, table: array, expected: set[Pair]) -> Check:
-    """The pairs the step table maps to themselves are exactly ``expected``."""
-    self_fixed = {_pair_at(c) for c, t in enumerate(table) if c == t}
-    ok = self_fixed == expected
-    return Check(label, ok, "" if ok else f"self-fixed pairs {self_fixed}")
 
 
 def _h_set(pair: Pair, b: int) -> frozenset[Pair]:
@@ -440,31 +434,31 @@ def judge(report: BaseReport) -> PredictionReport:
 def verify_base(b: int, depth: str = "formulas") -> PredictionReport:
     if depth not in DEPTHS:
         raise ValueError(f"depth must be one of {DEPTHS}, got {depth!r}")
-    cls = classify_base(b)
     # the deep checks validate the very map that gives the measured numbers
-    pdm = None if isinstance(cls, NoFixedPoint) else pair_distance_map(b)
-    report = base_report(b) if pdm is None else _pairs_report(pdm)
+    pdm = pair_distance_map(b)
+    report = _pairs_report(pdm)
     out = judge(report)
     if depth != "deep":
         return out
 
     table = _step_table(b)
-    match cls:
+    if pdm.fixed:
+        out.checks.append(_check_predecessor_inversion(b, table, pdm))
+    # the walk must start from every non-zero pair the table fixes
+    self_fixed = {_pair_at(c) for c, t in enumerate(table) if c == t}
+    ok = self_fixed == {(0, 0), *pdm.fixed}
+    detail = "" if ok else f"self-fixed pairs {self_fixed}"
+    match classify_base(b):
         case NoFixedPoint():
-            out.checks.append(_check_self_fixed("no-fixed-numeral", table, {(0, 0)}))
+            out.checks.append(Check("no-fixed-numeral", ok, detail))
         case TwoOrFour():
-            # the walk must start from every non-zero pair the table fixes
             fixed = report.fixed_numerals
-            self_fixed = {_pair_at(c) for c, t in enumerate(table) if c == t}
-            ok = bool(fixed) and self_fixed == {(0, 0), *pdm.fixed}
-            out.checks += [
-                _check_predecessor_inversion(b, table, pdm),
-                Check("fixed-numerals-exist", ok, f"fixed numerals {fixed}"),
-            ]
+            out.checks.append(
+                Check("fixed-numerals-exist", ok and bool(fixed), f"fixed numerals {fixed}")
+            )
         case FiveMultiple(m=m, n=n):
             out.checks += [
-                _check_predecessor_inversion(b, table, pdm),
-                _check_self_fixed("fixed-pair-unique", table, {(0, 0), fixed_pair(b)}),
+                Check("fixed-pair-unique", ok, detail),
                 _check_fixed_numeral_landing(b),
             ]
             if m > 1:

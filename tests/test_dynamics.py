@@ -4,6 +4,7 @@ import pytest
 
 from kaprekar4.digits import DigitQuad, join_digits, to_digits
 from kaprekar4.dynamics import (
+    BaseReport,
     Cycle,
     FixedNumeral,
     UndeterminedOrbitError,
@@ -15,7 +16,7 @@ from kaprekar4.dynamics import (
     work_estimate,
 )
 from kaprekar4.pairs import pair_count, step_pair
-from kaprekar4.predictions import FiveMultiple, NoFixedPoint, TwoOrFour, classify_base
+from kaprekar4.predictions import classify_base
 from oracles import (
     canonical_pairs,
     full_report,
@@ -101,9 +102,10 @@ def test_pair_distance_map_base_10():
     assert max(pdm.steps.values()) == 6
 
 
-def test_pair_distance_map_needs_a_fixed_numeral():
-    with pytest.raises(ValueError):
-        pair_distance_map(7)
+def test_pair_distance_map_starts_from_the_fixed_pairs():
+    # a base with no fixed numeral has no fixed pair, so its walk reaches nothing
+    assert pair_distance_map(7).fixed == ()
+    assert pair_distance_map(7).steps == {}
     # bases 2 and 4 walk from every pair that is its own image
     assert pair_distance_map(2).fixed == ((1, 0), (1, 1))
     assert pair_distance_map(2).steps == {(1, 0): 0, (1, 1): 0}
@@ -174,11 +176,10 @@ def test_work_estimate_of_other_routes(monkeypatch):
         return real(b)
 
     monkeypatch.setattr(dynamics_mod, "pair_distance_map", pairs)
-    want_route = {TwoOrFour: ["pairs"], FiveMultiple: ["pairs"], NoFixedPoint: []}
     for b in range(2, 401):
         routes.clear()
         base_report(b)
-        assert routes == want_route[type(classify_base(b))], b
+        assert routes == ["pairs"], b
         if b % 5 and b not in (2, 4):
             want = 1
         elif b % 5 or (b // 5) & (b // 5 - 1) == 0:  # b in {2, 4} or b = 5 * 2^n
@@ -281,7 +282,7 @@ def test_base_report_methods_agree():
     # every multiple of 5 up to 60, field by field, then 80 (5 * 2^4, whose
     # convergent fraction is not predicted) and 120 (5 * 3 * 2^3)
     for b in (*range(5, 61, 5), 80, 120):
-        via_pairs = base_report(b, method="pairs")
+        via_pairs = base_report(b)
         via_enum = base_report(b, method="enumeration")
         assert via_pairs.max_distance == via_enum.max_distance, b
         assert via_pairs.convergent_count == via_enum.convergent_count, b
@@ -291,8 +292,10 @@ def test_base_report_methods_agree():
     # bases 2 and 4: the pair route of "auto" against the numpy oracle
     for b in (2, 4):
         assert base_report(b) == base_report(b, method="enumeration"), b
-    with pytest.raises(ValueError):
-        base_report(7, method="pairs")
+    # "pairs" is still accepted, and is the default route
+    for b in range(2, 61):
+        assert base_report(b, method="pairs") == base_report(b), b
+    assert base_report(7, method="pairs") == BaseReport(7, {}, [])
     with pytest.raises(ValueError):
         base_report(7, method="nope")
 

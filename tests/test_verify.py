@@ -300,7 +300,41 @@ def test_missing_fixed_pair_fails_fixed_numerals_exist(monkeypatch):
     assert not rep.all_match
 
 
-@pytest.mark.parametrize("b", [15, 20, 60, 160])
+@pytest.mark.parametrize(
+    "b, failing",
+    [
+        (7, [("no-fixed-numeral", "self-fixed pairs {(1, 0), (0, 0)}")]),
+        (
+            10,
+            [
+                ("predecessor-inversion", "table wrong at (1, 0)"),
+                ("fixed-pair-unique", "self-fixed pairs {(1, 0), (6, 2), (0, 0)}"),
+            ],
+        ),
+        (
+            4,
+            [
+                ("predecessor-inversion", "table wrong at (1, 0)"),
+                ("fixed-numerals-exist", "fixed numerals [201]"),
+            ],
+        ),
+    ],
+)
+def test_extra_self_fixed_pair_fails_each_class(monkeypatch, b, failing):
+    # a step table that makes (1, 0) its own image, against a walk that
+    # starts only from the pairs the step rules fix
+    def slipped(base):
+        table = _step_table(base)
+        table[_code((1, 0))] = _code((1, 0))
+        return table
+
+    monkeypatch.setattr(verify_mod, "_step_table", slipped)
+    rep = verify_base(b, "deep")
+    assert [(c.label, c.detail) for c in rep.checks if not c.passed] == failing
+    assert not rep.all_match
+
+
+@pytest.mark.parametrize("b", [2, 7, 15, 20, 60, 160])
 def test_one_distance_map_per_deep_verify(monkeypatch, b):
     import kaprekar4.dynamics as dynamics_mod
 
@@ -500,7 +534,8 @@ def test_rule_rows_at_bases_verify_skips(b):
     # verify runs predecessor-inversion only for b in {2, 4} and 5 | b; these
     # bases cover both parities, every b mod 4, and the condensed rules.  A
     # base with no fixed pair reaches none, so its distance map is empty
-    empty = PairDistanceMap(b, (), {})
+    empty = pair_distance_map(b)
+    assert empty == PairDistanceMap(b, (), {})
     assert verify_mod._check_predecessor_inversion(b, _step_table(b), empty).passed
 
 
