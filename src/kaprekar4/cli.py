@@ -41,7 +41,7 @@ from .dynamics import (
     work_estimate,
 )
 from .pairs import pair_of_digits
-from .predictions import FiveMultiple, classify_base
+from .predictions import FiveMultiple, NoFixedPoint, classify_base
 from .verify import DEPTHS, MATCH, MISMATCH, NOT_PREDICTED, judge, verify_base
 
 # CSV columns: the keys of a JSON row, in order
@@ -454,7 +454,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # checks), ~1/5 of a unit otherwise (the step table alone)
     deep = args.depth == "deep"
     costs = [
-        work_estimate(b) + deep * b * (b + 1) // (1 if fixed_numerals(b) else 10)
+        work_estimate(b)
+        + deep * b * (b + 1) // (10 if isinstance(classify_base(b), NoFixedPoint) else 1)
         for b in bases
     ]
     reports = _parallel_map(_verify_worker, [(b, args.depth) for b in bases], costs, args.jobs)

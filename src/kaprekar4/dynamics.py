@@ -5,9 +5,11 @@ Every base takes one route: the pair graph is walked backwards from the
 non-zero pairs that are their own image, and each pair is weighted by how
 many numerals carry it.  Those pairs are also the one source of the fixed
 numerals.  A base's :func:`~kaprekar4.predictions.classify_base` class
-picks only those pairs: the fixed pair for ``FiveMultiple``, a scan for
-``TwoOrFour``, none for ``NoFixedPoint``, whose report is then empty.  The
-numpy oracle in :mod:`kaprekar4.enumeration` is an independent route, run
+picks only those pairs: the fixed pair (3b/5, b/5) for ``FiveMultiple``,
+whose one home is this start set, a scan for ``TwoOrFour``, none for
+``NoFixedPoint``, whose report is then empty.  A trajectory stores its
+orbit and terminal once; its distance is derived from them.  The numpy
+oracle in :mod:`kaprekar4.enumeration` is an independent route, run
 only on demand (``method="enumeration"``) and by the tests.
 """
 
@@ -18,13 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .digits import DigitQuad, join_digits, step_value, to_digits
-from .pairs import (
-    Pair,
-    fixed_pair,
-    pair_count,
-    predecessors_of,
-    step_pair,
-)
+from .pairs import Pair, pair_count, predecessors_of, step_pair
 from .predictions import FiveMultiple, NoFixedPoint, TwoOrFour, classify_base
 
 
@@ -59,15 +55,18 @@ class UndeterminedOrbitError(RuntimeError):
 class Trajectory:
     states: list[DigitQuad]
     terminal: Terminal
-    distance: int | None
+
+    @property
+    def distance(self) -> int | None:
+        """Steps until the fixed numeral first appears; None for other terminals."""
+        return len(self.states) - 1 if isinstance(self.terminal, FixedNumeral) else None
 
 
 def trajectory(start: DigitQuad, max_steps: int | None = None) -> Trajectory:
     """Full orbit of ``start`` with a terminal verdict.
 
-    ``distance`` is set only for fixed-numeral terminals: the number of steps
-    until the fixed numeral first appears.  The state list stops at the fixed
-    numeral, or just before the first repeated state.
+    The state list stops at the fixed numeral, or just before the first
+    repeated state.
 
     With ``max_steps`` None the orbit runs until it first repeats.  That
     takes at most b(b+1)/2 steps: every state after the start is the image
@@ -77,33 +76,27 @@ def trajectory(start: DigitQuad, max_steps: int | None = None) -> Trajectory:
     if max_steps is not None and max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
 
-    values = [start.value]
+    # the orbit in order, each value mapped to its step index
     seen = {start.value: 0}
+    cur = start.value
     terminal: Terminal
-    distance: int | None = None
     while True:
-        cur = values[-1]
         nxt = step_value(cur, b)
         if nxt == cur:
-            if cur == 0:
-                terminal = ZeroSink()
-            else:
-                terminal = FixedNumeral(cur)
-                distance = len(values) - 1
+            terminal = FixedNumeral(cur) if cur else ZeroSink()
             break
         if nxt in seen:
             entry = seen[nxt]
-            terminal = Cycle(period=len(values) - entry, entry_step=entry)
+            terminal = Cycle(period=len(seen) - entry, entry_step=entry)
             break
-        if max_steps is not None and len(values) - 1 >= max_steps:
+        if max_steps is not None and len(seen) - 1 >= max_steps:
             raise UndeterminedOrbitError(
                 f"orbit of {start.value} in base {b} undetermined after {max_steps} steps"
             )
-        seen[nxt] = len(values)
-        values.append(nxt)
+        seen[nxt] = len(seen)
+        cur = nxt
 
-    states = [to_digits(v, b) for v in values]
-    return Trajectory(states=states, terminal=terminal, distance=distance)
+    return Trajectory(states=[to_digits(v, b) for v in seen], terminal=terminal)
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +119,13 @@ class PairDistanceMap:
 
 
 def _fixed_pairs(b: int) -> tuple[Pair, ...]:
-    """The non-zero pairs that are their own image: the fixed pair for 5 | b,
-    a scan of every pair for bases 2 and 4, none for other bases."""
+    """The non-zero pairs that are their own image: (3b/5, b/5) for 5 | b, a
+    scan of every pair for bases 2 and 4, none for other bases."""
     cls = classify_base(b)
     if isinstance(cls, TwoOrFour):
         pairs = ((d, dp) for d in range(1, b) for dp in range(d + 1))
         return tuple(p for p in pairs if step_pair(p, b) == p)
-    return (fixed_pair(b),) if isinstance(cls, FiveMultiple) else ()
+    return ((3 * b // 5, b // 5),) if isinstance(cls, FiveMultiple) else ()
 
 
 def pair_distance_map(b: int) -> PairDistanceMap:
@@ -219,16 +212,15 @@ def _pairs_report(pdm: PairDistanceMap) -> BaseReport:
     return BaseReport(b, dict(sorted(hist.items())), fixed_numerals(b))
 
 
-def base_report(b: int, method: str = "auto") -> BaseReport:
+def base_report(b: int, method: str = "pairs") -> BaseReport:
     """Convergence statistics for one base.
 
     method:
-      - "auto": pair-weighted counting over the walk from the fixed pairs;
+      - "pairs": pair-weighted counting over the walk from the fixed pairs;
         a base with none gets an empty report.
-      - "pairs": the same route as "auto".
       - "enumeration": force the brute-force numpy oracle.
     """
-    if method not in ("auto", "pairs", "enumeration"):
+    if method not in ("pairs", "enumeration"):
         raise ValueError(f"unknown method {method!r}")
     if method == "enumeration":
         from .enumeration import convergence_report

@@ -10,6 +10,7 @@ Pair ``(d, dp)`` has the code ``d(d+1)/2 + dp``, its index when the pairs
 are listed outer-major: d ascending, then dp from 0 to d.  The step table of
 a base maps codes to codes.
 The predecessor rules build each row directly as a set of canonical pairs.
+The fixed pair (3b/5, b/5) lives only in :mod:`.dynamics`, as a walk start.
 """
 
 from __future__ import annotations
@@ -95,14 +96,6 @@ def _step_table(b: int) -> array:
 def _not_canonical(d: int, dp: int, b: int) -> NoReturn:
     """The one error for a pair outside 0 <= dp <= d < b; callers test inline."""
     raise ValueError(f"({d}, {dp}) is not canonical for base {b}")
-
-
-def fixed_pair(b: int) -> Pair:
-    """The pair (3b/5, b/5) of the non-zero fixed numeral; needs 5 | b."""
-    check_base(b)
-    if b % 5 != 0:
-        raise ValueError(f"base {b} is not a multiple of 5, no fixed pair exists")
-    return (3 * b // 5, b // 5)
 
 
 # ---------------------------------------------------------------------------

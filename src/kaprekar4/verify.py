@@ -15,8 +15,10 @@ The deep checks of one base share two results: the distance map, which also
 gives the measured numbers, and the step table of :mod:`pairs`.  Every base
 builds the map, an empty one when it has no fixed pair, and one check,
 labelled by class, holds the pairs the table fixes to the map's start set
-plus (0, 0).  The checks walk pair orbits only through that table, and read
-every grid landing, the witnesses' too, from one memo over it.  Each general
+plus (0, 0).  The landing check reads the fixed pair from that start set
+and the fixed numeral from the report, so neither is worked out twice.
+The checks walk pair orbits only through that table, and read every grid
+landing, the witnesses' too, from one memo over it.  Each general
 predecessor rule row is checked against the table by count and image, and
 each condensed row against the general one.
 """
@@ -34,7 +36,6 @@ from .dynamics import (
     PairDistanceMap,
     ZeroSink,
     _pairs_report,
-    fixed_numerals,
     pair_distance_map,
     trajectory,
 )
@@ -47,7 +48,6 @@ from .pairs import (
     _step_table,
     classify_pair,
     condensed_predecessors_of,
-    fixed_pair,
     predecessors_of,
 )
 from .predictions import (
@@ -133,11 +133,9 @@ def _pair_numerals(pair: Pair, b: int):
         yield from range(first, first + (d - dp + 1) * step, step)
 
 
-def _check_fixed_numeral_landing(b: int) -> Check:
-    """Numerals on the fixed pair step onto the fixed numeral; numerals on a
-    first-generation predecessor pair never do."""
-    target = fixed_pair(b)
-    (v_fixed,) = fixed_numerals(b)
+def _check_fixed_numeral_landing(b: int, target: Pair, v_fixed: int) -> Check:
+    """Numerals on the fixed pair ``target`` step onto the fixed numeral
+    ``v_fixed``; numerals on a first-generation predecessor pair never do."""
     for x in _pair_numerals(target, b):
         if step_value(x, b) != v_fixed:
             return Check("fixed-numeral-landing", False, f"{x} misses the fixed numeral")
@@ -457,9 +455,10 @@ def verify_base(b: int, depth: str = "formulas") -> PredictionReport:
                 Check("fixed-numerals-exist", ok and bool(fixed), f"fixed numerals {fixed}")
             )
         case FiveMultiple(m=m, n=n):
+            (target,), (v_fixed,) = pdm.fixed, report.fixed_numerals  # exactly one each
             out.checks += [
                 Check("fixed-pair-unique", ok, detail),
-                _check_fixed_numeral_landing(b),
+                _check_fixed_numeral_landing(b, target, v_fixed),
             ]
             if m > 1:
                 out.checks.extend(_basin_structure_checks(b, m, n, pdm))

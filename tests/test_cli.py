@@ -462,6 +462,24 @@ def test_mid_cost_range_plans_a_pool_largest_first(capsys, stand_in_pool):
     assert out == serial
 
 
+def test_verify_plans_from_the_base_class(capsys, monkeypatch, stand_in_pool):
+    # the planner charges a deep base by its class alone; it steps no
+    # fixed numeral, so the same pool starts in the same order
+    import kaprekar4.cli as cli_mod
+
+    def refuse(b):
+        raise RuntimeError(f"the planner stepped the fixed numerals of {b}")
+
+    monkeypatch.setattr(cli_mod, "fixed_numerals", refuse)
+    code, _, err = run(capsys, "verify", "--bases", "150..170", "--depth", "deep", "--jobs", "2")
+    assert (code, err) == (0, "")
+    assert stand_in_pool.workers == [2]
+    assert stand_in_pool.bases == [
+        160, 170, 165, 155, 150, 169, 168, 167, 166, 164, 163,
+        162, 161, 159, 158, 157, 156, 154, 153, 152, 151,
+    ]
+
+
 def test_broken_pool_names_the_lost_bases(capsys, monkeypatch, stand_in_pool):
     _free_pool(monkeypatch)
     stand_in_pool.broken_after = 2
@@ -633,7 +651,7 @@ def test_json_outputs_deterministic(capsys):
 def test_internal_error_exit_4(capsys, monkeypatch):
     import kaprekar4.cli as cli_mod
 
-    def crash(b, method="auto"):
+    def crash(b, method="pairs"):
         raise RuntimeError("planted crash")
 
     monkeypatch.setattr(cli_mod, "base_report", crash)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -69,6 +70,22 @@ def test_cycle_terminal_base_20():
     # consecutive states follow the step map
     for cur, nxt in zip(t.states, t.states[1:]):
         assert oracle_step(cur.value, 20) == nxt.value
+
+
+def test_trajectory_distance_is_derived_from_its_orbit():
+    # every numeral of base 10, and one numeral per digit multiset of base
+    # 20, plus each fixed numeral: the distance is the orbit's step count
+    # when it ends on a fixed numeral, and None for every other terminal
+    quads = combinations_with_replacement(range(19, -1, -1), 4)
+    cases = {10: range(10**4), 20: [*(join_digits(q, 20) for q in quads), *fixed_numerals(20)]}
+    for b, starts in cases.items():
+        kinds = set()
+        for x in starts:
+            t = trajectory(to_digits(x, b))
+            kinds.add(type(t.terminal))
+            want = len(t.states) - 1 if isinstance(t.terminal, FixedNumeral) else None
+            assert t.distance == want, (b, x)
+        assert kinds == ({FixedNumeral, ZeroSink, Cycle} if b == 20 else {FixedNumeral, ZeroSink})
 
 
 def test_undetermined_orbit():
@@ -289,15 +306,16 @@ def test_base_report_methods_agree():
         assert via_pairs.convergent_fraction == via_enum.convergent_fraction, b
         assert via_pairs.histogram == via_enum.histogram, b
         assert via_pairs.fixed_numerals == via_enum.fixed_numerals, b
-    # bases 2 and 4: the pair route of "auto" against the numpy oracle
+    # bases 2 and 4: the default pair route against the numpy oracle
     for b in (2, 4):
         assert base_report(b) == base_report(b, method="enumeration"), b
-    # "pairs" is still accepted, and is the default route
+    # "pairs" is the default route, and each route has one name
     for b in range(2, 61):
         assert base_report(b, method="pairs") == base_report(b), b
     assert base_report(7, method="pairs") == BaseReport(7, {}, [])
-    with pytest.raises(ValueError):
-        base_report(7, method="nope")
+    for method in ("auto", "nope"):
+        with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+            base_report(7, method=method)
 
 
 def test_pair_weighted_histogram_structure():
@@ -305,9 +323,8 @@ def test_pair_weighted_histogram_structure():
     # fixed numeral itself
     for b in (5, 10, 20, 25):
         rep = base_report(b)
-        from kaprekar4.pairs import fixed_pair
-
-        assert rep.histogram[1] == pair_count(fixed_pair(b), b) - 1
+        (target,) = pair_distance_map(b).fixed
+        assert rep.histogram[1] == pair_count(target, b) - 1
         assert rep.histogram[0] == 1
 
 

@@ -238,5 +238,5 @@ def test_cli_judges_only_through_verify():
             assert not {"predictions", "verify"} & {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
             assert not [a for a in node.names if a.name.split(".")[-1] == "predictions"]
-    assert names["predictions"] == {"FiveMultiple", "classify_base"}
+    assert names["predictions"] == {"FiveMultiple", "NoFixedPoint", "classify_base"}
     assert "judge" in names["verify"]

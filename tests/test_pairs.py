@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 import kaprekar4.pairs as pairs_mod
 from kaprekar4.digits import join_digits, step_value, to_digits
+from kaprekar4.dynamics import pair_distance_map
 from kaprekar4.pairs import (
     PairType,
     classify_pair,
     condensed_predecessors_of,
-    fixed_pair,
     pair_count,
     pair_of_digits,
     predecessors_of,
@@ -110,10 +110,9 @@ def test_commutation_random(bv):
 
 
 def test_fixed_pair():
-    assert fixed_pair(10) == (6, 2)
-    assert fixed_pair(5) == (3, 1)
-    with pytest.raises(ValueError):
-        fixed_pair(12)
+    # the fixed pair (3b/5, b/5) is the walk's start set
+    assert pair_distance_map(10).fixed == ((6, 2),)
+    assert pair_distance_map(5).fixed == ((3, 1),)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +173,8 @@ def test_condensed_matches_general_up_to_64():
 def _extra_candidates(b):
     # a canonical pair that steps elsewhere, a pair past the base, and the
     # fixed pair written backwards: not canonical, yet the formula steps it home
-    d, dp = target = fixed_pair(b)
+    (target,) = pair_distance_map(b).fixed
+    d, dp = target
     stranger = next(p for p in canonical_pairs(b) if step_pair(p, b) != target)
     assert step_pair((dp, d), b) == target
     return [stranger, (b, 0), (dp, d)]
@@ -187,7 +187,7 @@ def test_predecessor_guard_raises(monkeypatch, capsys):
     import kaprekar4.dynamics as dynamics_mod
 
     real = dynamics_mod.predecessors_of
-    target = fixed_pair(10)
+    (target,) = pair_distance_map(10).fixed
     for extra in _extra_candidates(10):
 
         def corrupted(pair, b, extra=extra):
@@ -262,7 +262,7 @@ MODULE_ONLY = {
     "join_digits": "digits", "split_digits": "digits",
     "PairDistanceMap": "dynamics", "Terminal": "dynamics",
     "fixed_numerals": "dynamics", "pair_distance_map": "dynamics",
-    "PairType": "pairs", "fixed_pair": "pairs", "pair_count": "pairs",
+    "PairType": "pairs", "pair_count": "pairs",
     "pair_of_digits": "pairs", "step_pair": "pairs",
     "BaseClass": "predictions", "FiveMultiple": "predictions",
     "NoFixedPoint": "predictions", "TwoOrFour": "predictions",
@@ -289,7 +289,7 @@ def test_public_names_are_pinned():
     assert exported == PUBLIC
     assert len(PUBLIC) == 16
     # narrowing the top level removed no capability
-    assert len(MODULE_ONLY) == 25 and not PUBLIC & MODULE_ONLY.keys()
+    assert len(MODULE_ONLY) == 24 and not PUBLIC & MODULE_ONLY.keys()
     for name, mod in MODULE_ONLY.items():
         value = getattr(importlib.import_module(f"kaprekar4.{mod}"), name)
         # BaseClass and Terminal are unions of classes
@@ -308,7 +308,7 @@ def test_result_fields_are_pinned():
         return [f.name for f in fields(cls)]
 
     assert stored(BaseReport) == ["base", "histogram", "fixed_numerals"]
-    assert stored(Trajectory) == ["states", "terminal", "distance"]
+    assert stored(Trajectory) == ["states", "terminal"]
     assert stored(PredictionReport) == [
         "base", "predicted_max_distance", "measured_max_distance", "max_distance_verdict",
         "predicted_fraction", "measured_fraction", "fraction_verdict", "checks",
@@ -408,7 +408,7 @@ def test_fixed_pair_carriers_land_and_predecessors_do_not():
     from kaprekar4.dynamics import fixed_numerals
 
     for b in (5, 10, 15, 20):
-        target = fixed_pair(b)
+        (target,) = pair_distance_map(b).fixed
         (v,) = fixed_numerals(b)
         for x in _numerals_with_pair(target, b):
             assert step_value(x, b) == v

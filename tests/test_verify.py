@@ -12,7 +12,6 @@ from kaprekar4.pairs import (
     _pair_at,
     _step_table,
     condensed_predecessors_of,
-    fixed_pair,
     pair_count,
     predecessors_of,
     step_pair,
@@ -399,21 +398,22 @@ def test_deep_verify_call_counts(monkeypatch, b):
     # (predecessor-inversion) and for the fixed pair (fixed-numeral-landing);
     # one condensed row per canonical pair when 4 | b; one count per reached
     # pair; and inside fixed-numeral-landing one integer step per numeral on
-    # the fixed pair and on its first-generation predecessors, plus the two
-    # that find the fixed numeral and check that it is its own image
-    reached = len(pair_distance_map(b).steps)
+    # the fixed pair and on its first-generation predecessors: the fixed
+    # numeral it is handed comes from the report, not from stepping again
+    pdm = pair_distance_map(b)
+    reached = len(pdm.steps)
     pairs = b * (b + 1) // 2
-    target = fixed_pair(b)
+    (target,) = pdm.fixed
     first_gen = [p for p in canonical_pairs(b) if p != target and step_pair(p, b) == target]
-    landing_steps = 2 + sum((b - d) * (d - dp + 1) for d, dp in [target, *first_gen])
+    landing_steps = sum((b - d) * (d - dp + 1) for d, dp in [target, *first_gen])
 
     inside = []
     real_landing = verify_mod._check_fixed_numeral_landing
 
-    def landing(base):
-        inside.append(base)
+    def landing(*args):
+        inside.append(args)
         try:
-            return real_landing(base)
+            return real_landing(*args)
         finally:
             inside.pop()
 
@@ -428,7 +428,17 @@ def test_deep_verify_call_counts(monkeypatch, b):
     assert len(counts) == reached
     assert len(steps) == landing_steps
     if b == 320:
-        assert (len(rows), len(counts), len(steps)) == (89962, 38601, 41410)
+        assert (len(rows), len(counts), len(steps)) == (89962, 38601, 41408)
+
+
+@pytest.mark.parametrize("b", [20, 320])
+def test_deep_verify_finds_the_fixed_numeral_once(monkeypatch, b):
+    # the report's fixed numeral is the one the landing check is handed
+    import kaprekar4.dynamics as dynamics_mod
+
+    calls = _count_calls(monkeypatch, "fixed_numerals", dynamics_mod.fixed_numerals)
+    assert verify_base(b, "deep").all_match
+    assert calls == [(b,)]
 
 
 def _descending_numerals_by_pair(b, spreads):
