@@ -30,7 +30,7 @@ MUTANTS = [
         "tests": [
             "tests/test_verify.py::test_deep_bases_all_match[10]",
             "tests/test_verify.py::test_deep_bases_all_match[160]",
-            "tests/test_verify.py::test_deep_verify_finds_the_fixed_numeral_once[20]",
+            "tests/test_verify.py::test_deep_verify_finds_the_fixed_pairs_once[20]",
         ],
     },
     # a deep verify charges a NoFixedPoint base b(b+1) units, like the others
@@ -41,7 +41,6 @@ MUTANTS = [
         "new": "// (1 if isinstance(classify_base(b), NoFixedPoint) else 1)",
         "tests": [
             "tests/test_cli.py::test_mid_cost_range_plans_a_pool_largest_first",
-            "tests/test_cli.py::test_verify_plans_from_the_base_class",
         ],
     },
     # a trajectory's distance counts its states, not its steps
@@ -52,7 +51,8 @@ MUTANTS = [
         "new": "return len(self.states) if isinstance(self.terminal, FixedNumeral) else None",
         "tests": [
             "tests/test_dynamics.py::test_worked_chain_from_0889",
-            "tests/test_dynamics.py::test_trajectory_distance_is_derived_from_its_orbit",
+            "tests/test_dynamics.py::test_base5_orbit_of_one",
+            "tests/test_dynamics.py::test_start_at_fixed_numeral",
         ],
     },
 ]

@@ -1,8 +1,7 @@
 """Apply each mutant of ``mutants/mutants.py`` to a copy of ``src/`` and
 require its named tests to fail there.
 
-    python mutants/run.py                  # every mutant
-    python mutants/run.py NAME [NAME ...]  # only these
+    python mutants/run.py
 
 First the unmutated copy must pass every named test.  Then, per mutant, a
 fresh copy of ``src/`` gets the one replacement, and pytest runs that
@@ -57,31 +56,26 @@ def copy_src(into: Path, mutant: dict | None = None) -> Path:
     return src
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {m["name"] for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not names or m["name"] in names]
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         # check every old text before any test runs
-        for k, m in enumerate(chosen):
+        for k, m in enumerate(MUTANTS):
             copy_src(Path(tmp) / str(k), m)
-        tests = sorted({t for m in chosen for t in m["tests"]})
+        tests = sorted({t for m in MUTANTS for t in m["tests"]})
         base = outcomes(copy_src(Path(tmp) / "clean"), tests)
         broken = {t: base.get(t, "not run") for t in tests if base.get(t) != "PASSED"}
         if broken:
             print(f"the unmutated copy does not pass: {broken}")
             return 1
         alive = 0
-        for k, m in enumerate(chosen):
+        for k, m in enumerate(MUTANTS):
             got = outcomes(Path(tmp) / str(k) / "src", m["tests"])
             missed = {t: got.get(t, "not run") for t in m["tests"] if got.get(t) != "FAILED"}
             alive += bool(missed)
             print(f"{m['name']}: " + (f"ALIVE, not failed: {missed}" if missed else "caught"))
-    print(f"{len(chosen) - alive} of {len(chosen)} mutants caught")
+    print(f"{len(MUTANTS) - alive} of {len(MUTANTS)} mutants caught")
     return 1 if alive else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -1,16 +1,15 @@
 """Orbit analysis: trajectories, distance maps over the pair graph, and
 per-base convergence statistics.
 
-Every base takes one route: the pair graph is walked backwards from the
-non-zero pairs that are their own image, and each pair is weighted by how
-many numerals carry it.  Those pairs are also the one source of the fixed
-numerals.  A base's :func:`~kaprekar4.predictions.classify_base` class
-picks only those pairs: the fixed pair (3b/5, b/5) for ``FiveMultiple``,
-whose one home is this start set, a scan for ``TwoOrFour``, none for
-``NoFixedPoint``, whose report is then empty.  A trajectory stores its
-orbit and terminal once; its distance is derived from them.  The numpy
-oracle in :mod:`kaprekar4.enumeration` is an independent route, run
-only on demand (``method="enumeration"``) and by the tests.
+Every base takes one route: the pair graph is walked backwards from its
+start set, the non-zero pairs that are their own image, and each pair is
+weighted by how many numerals carry it; the report steps the set's
+carriers to the fixed numerals.  :func:`~kaprekar4.predictions.classify_base`
+picks the set: (3b/5, b/5) for ``FiveMultiple``, the fixed pair's one
+home, a scan for ``TwoOrFour``, none for ``NoFixedPoint``.  A trajectory
+derives its distance from its orbit.  The numpy oracle of
+:mod:`kaprekar4.enumeration`, an independent route, runs only on demand
+(``method="enumeration"``) and in the tests.
 """
 
 from __future__ import annotations
@@ -158,12 +157,14 @@ def fixed_numerals(b: int) -> list[int]:
     not a digit formula, so it stays independent of the closed-form
     predictors.  A value that is not its own image raises ``RuntimeError``.
     """
-    values = []
-    for d, dp in _fixed_pairs(b):
-        v = step_value(join_digits((d, dp, 0, 0), b), b)
+    return _carried_fixed_numerals(_fixed_pairs(b), b)
+
+
+def _carried_fixed_numerals(fixed: tuple[Pair, ...], b: int) -> list[int]:
+    values = [step_value(join_digits((*p, 0, 0), b), b) for p in fixed]
+    for p, v in zip(fixed, values):
         if step_value(v, b) != v:
-            raise RuntimeError(f"pair ({d}, {dp}) gives {v}, not a fixed numeral of base {b}")
-        values.append(v)
+            raise RuntimeError(f"pair {p} gives {v}, not a fixed numeral of base {b}")
     return values
 
 
@@ -209,7 +210,7 @@ def _pairs_report(pdm: PairDistanceMap) -> BaseReport:
         # a fixed numeral carries its fixed pair but lies 0 steps out, not 1
         hist[1] -= len(pdm.fixed)
         hist[0] = len(pdm.fixed)
-    return BaseReport(b, dict(sorted(hist.items())), fixed_numerals(b))
+    return BaseReport(b, dict(sorted(hist.items())), _carried_fixed_numerals(pdm.fixed, b))
 
 
 def base_report(b: int, method: str = "pairs") -> BaseReport:

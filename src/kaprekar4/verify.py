@@ -15,12 +15,11 @@ The deep checks of one base share two results: the distance map, which also
 gives the measured numbers, and the step table of :mod:`pairs`.  Every base
 builds the map, an empty one when it has no fixed pair, and one check,
 labelled by class, holds the pairs the table fixes to the map's start set
-plus (0, 0).  The landing check reads the fixed pair from that start set
-and the fixed numeral from the report, so neither is worked out twice.
-The checks walk pair orbits only through that table, and read every grid
-landing, the witnesses' too, from one memo over it.  Each general
-predecessor rule row is checked against the table by count and image, and
-each condensed row against the general one.
+plus (0, 0).  The landing check reads the fixed pair and numeral from the
+map and the report.  The checks walk pair orbits only through that table,
+and read every grid landing, the witnesses' too, from one memo over it.
+Each general predecessor rule row is checked against the table by count
+and image, and each condensed row against the general one.
 """
 
 from __future__ import annotations

@@ -448,36 +448,28 @@ def test_benchmark_sweep_plans_in_process():
     assert _run_probe(probe) == ["0", "[]", "False"] * 2
 
 
-def test_mid_cost_range_plans_a_pool_largest_first(capsys, stand_in_pool):
-    argv = ["verify", "--bases", "150..170", "--depth", "deep"]
-    _, serial, _ = run(capsys, *argv, "--jobs", "1")
-    assert stand_in_pool.workers == []
-    code, out, _ = run(capsys, *argv, "--jobs", "2")
-    assert code == 0
-    assert stand_in_pool.workers == [2]
-    # 160 = 5*2^5 adds its whole basin to the deep walk, which costs more
-    # where 5 | b; the other bases follow by b(b+1)
-    assert stand_in_pool.bases[:7] == [160, 170, 165, 155, 150, 169, 168]
-    assert sorted(stand_in_pool.bases) == list(range(150, 171))
-    assert out == serial
-
-
-def test_verify_plans_from_the_base_class(capsys, monkeypatch, stand_in_pool):
-    # the planner charges a deep base by its class alone; it steps no
-    # fixed numeral, so the same pool starts in the same order
+def test_mid_cost_range_plans_a_pool_largest_first(capsys, monkeypatch, stand_in_pool):
     import kaprekar4.cli as cli_mod
 
+    # the planner charges a deep base by its class alone; it steps no
+    # fixed numeral
     def refuse(b):
         raise RuntimeError(f"the planner stepped the fixed numerals of {b}")
 
     monkeypatch.setattr(cli_mod, "fixed_numerals", refuse)
-    code, _, err = run(capsys, "verify", "--bases", "150..170", "--depth", "deep", "--jobs", "2")
+    argv = ["verify", "--bases", "150..170", "--depth", "deep"]
+    _, serial, _ = run(capsys, *argv, "--jobs", "1")
+    assert stand_in_pool.workers == []
+    code, out, err = run(capsys, *argv, "--jobs", "2")
     assert (code, err) == (0, "")
     assert stand_in_pool.workers == [2]
+    # 160 = 5*2^5 adds its whole basin to the deep walk, which costs more
+    # where 5 | b; the other bases follow by b(b+1)
     assert stand_in_pool.bases == [
         160, 170, 165, 155, 150, 169, 168, 167, 166, 164, 163,
         162, 161, 159, 158, 157, 156, 154, 153, 152, 151,
     ]
+    assert out == serial
 
 
 def test_broken_pool_names_the_lost_bases(capsys, monkeypatch, stand_in_pool):

@@ -432,11 +432,12 @@ def test_deep_verify_call_counts(monkeypatch, b):
 
 
 @pytest.mark.parametrize("b", [20, 320])
-def test_deep_verify_finds_the_fixed_numeral_once(monkeypatch, b):
-    # the report's fixed numeral is the one the landing check is handed
+def test_deep_verify_finds_the_fixed_pairs_once(monkeypatch, b):
+    # the map's start set is found once; the report steps its carriers to
+    # the fixed numeral, and the landing check reads both from there
     import kaprekar4.dynamics as dynamics_mod
 
-    calls = _count_calls(monkeypatch, "fixed_numerals", dynamics_mod.fixed_numerals)
+    calls = _count_calls(monkeypatch, "_fixed_pairs", dynamics_mod._fixed_pairs)
     assert verify_base(b, "deep").all_match
     assert calls == [(b,)]
 
