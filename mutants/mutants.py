@@ -8,6 +8,12 @@ update its entry here: the runner refuses a text that does not occur
 exactly once.
 """
 
+# the walk's price in cli._work_estimate, which two planner mutants touch
+_WALK = "4 ** (cls.n + 1) if isinstance(cls, FiveMultiple) and cls.m > 1 else b * (b + 1) // 2"
+
+# the golden sweep that asks for sbsize alone
+_SBSIZE = "sweep/bases=2..25/metrics=sbsize"
+
 MUTANTS = [
     # the walk starts from (3b/5, b/5 + 1), which is not its own image
     {
@@ -33,16 +39,6 @@ MUTANTS = [
             "tests/test_verify.py::test_deep_verify_finds_the_fixed_pairs_once[20]",
         ],
     },
-    # a deep verify charges a NoFixedPoint base b(b+1) units, like the others
-    {
-        "name": "planner-charges-no-fixed-point-in-full",
-        "file": "kaprekar4/cli.py",
-        "old": "// (10 if isinstance(classify_base(b), NoFixedPoint) else 1)",
-        "new": "// (1 if isinstance(classify_base(b), NoFixedPoint) else 1)",
-        "tests": [
-            "tests/test_cli.py::test_mid_cost_range_plans_a_pool_largest_first",
-        ],
-    },
     # a trajectory's distance counts its states, not its steps
     {
         "name": "distance-counts-states",
@@ -53,6 +49,125 @@ MUTANTS = [
             "tests/test_dynamics.py::test_worked_chain_from_0889",
             "tests/test_dynamics.py::test_base5_orbit_of_one",
             "tests/test_dynamics.py::test_start_at_fixed_numeral",
+        ],
+    },
+    # a deep verify charges a NoFixedPoint base b(b+1) units, like the others
+    {
+        "name": "planner-charges-no-fixed-point-in-full",
+        "file": "kaprekar4/cli.py",
+        "old": "return 1 + deep * b * (b + 1) // 10",
+        "new": "return 1 + deep * b * (b + 1)",
+        "tests": [
+            "tests/test_cli.py::test_mid_cost_range_plans_a_pool_largest_first",
+            "tests/test_dynamics.py::test_work_estimate_of_other_routes",
+        ],
+    },
+    # a deep verify charges every base a flat b(b+1)/2, whatever its class
+    {
+        "name": "planner-flat-deep-term",
+        "file": "kaprekar4/cli.py",
+        "old": "(b + 1) // 10\n    walk = " + _WALK + "\n    return walk + deep * b * (b + 1)\n",
+        "new": "(b + 1) // 2\n    walk = " + _WALK + "\n    return walk + deep * b * (b + 1) // 2\n",
+        "tests": [
+            "tests/test_cli.py::test_mid_cost_range_plans_a_pool_largest_first",
+            "tests/test_dynamics.py::test_work_estimate_of_other_routes",
+        ],
+    },
+    # the walk is charged 4^n pairs for m > 1, a quarter of what it reaches
+    {
+        "name": "planner-walk-four-to-the-n",
+        "file": "kaprekar4/cli.py",
+        "old": _WALK,
+        "new": _WALK.replace("4 ** (cls.n + 1)", "4 ** cls.n"),
+        "tests": [
+            "tests/test_dynamics.py::test_work_estimate_bounds_the_pair_route",
+            "tests/test_dynamics.py::test_work_estimate_of_other_routes",
+        ],
+    },
+    # every run stays in-process, whatever a pool could save
+    {
+        "name": "planner-always-serial",
+        "file": "kaprekar4/cli.py",
+        "old": "if jobs <= 1 or saved <= _POOL_START_UNITS + _POOL_TASK_UNITS * len(tasks):",
+        "new": "if True:",
+        "tests": [
+            "tests/test_cli.py::test_sweep_jobs_parallel_identical",
+            "tests/test_cli.py::test_mid_cost_range_plans_a_pool_largest_first",
+            "tests/test_cli.py::test_broken_pool_names_the_lost_bases",
+        ],
+    },
+    # every run with two or more workers starts a pool, however small
+    {
+        "name": "planner-always-pool",
+        "file": "kaprekar4/cli.py",
+        "old": "if jobs <= 1 or saved <= _POOL_START_UNITS + _POOL_TASK_UNITS * len(tasks):",
+        "new": "if jobs <= 1:",
+        "tests": [
+            "tests/test_cli.py::test_benchmark_sweep_plans_in_process",
+            "tests/test_cli.py::test_sweep_near_max_base",
+        ],
+    },
+    # a pool is charged its start-up only, not the feeding of each task
+    {
+        "name": "planner-no-per-task-term",
+        "file": "kaprekar4/cli.py",
+        "old": "saved <= _POOL_START_UNITS + _POOL_TASK_UNITS * len(tasks)",
+        "new": "saved <= _POOL_START_UNITS",
+        "tests": [
+            "tests/test_cli.py::test_benchmark_sweep_plans_in_process",
+        ],
+    },
+    # a pool gets its tasks in base order, not largest first
+    {
+        "name": "planner-submits-in-base-order",
+        "file": "kaprekar4/cli.py",
+        "old": "order = sorted(range(len(tasks)), key=costs.__getitem__, reverse=True)",
+        "new": "order = list(range(len(tasks)))",
+        "tests": [
+            "tests/test_cli.py::test_mid_cost_range_plans_a_pool_largest_first",
+            "tests/test_cli.py::test_broken_pool_names_the_lost_bases",
+        ],
+    },
+    # a pool's rows are kept in submission order, not put back in base order
+    {
+        "name": "planner-rows-in-submission-order",
+        "file": "kaprekar4/cli.py",
+        "old": "rows[order[done]] = row",
+        "new": "rows[done] = row",
+        "tests": [
+            "tests/test_cli.py::test_sweep_jobs_parallel_identical",
+            "tests/test_cli.py::test_mid_cost_range_plans_a_pool_largest_first",
+        ],
+    },
+    # a broken pool's lost list leaves out the first lost base
+    {
+        "name": "planner-lost-list-skips-first",
+        "file": "kaprekar4/cli.py",
+        "old": "lost = [tasks[i][0] for i in order[done:]]",
+        "new": "lost = [tasks[i][0] for i in order[done + 1:]]",
+        "tests": [
+            "tests/test_cli.py::test_broken_pool_names_the_lost_bases",
+        ],
+    },
+    # a sweep that asks for sbsize alone builds no report to size
+    {
+        "name": "sweep-sbsize-builds-no-report",
+        "file": "kaprekar4/cli.py",
+        "old": '_REPORT_METRICS = frozenset({"mb", "cb", "sbsize"})',
+        "new": '_REPORT_METRICS = frozenset({"mb", "cb"})',
+        "tests": [
+            f"tests/test_cli_golden.py::test_cli_output_bytes[{_SBSIZE}/format={f}/jobs=1]"
+            for f in ("text", "json", "csv")
+        ],
+    },
+    # a measured sweep row looks its base's start set up again for fixedpoints
+    {
+        "name": "sweep-row-refinds-fixed-numerals",
+        "file": "kaprekar4/cli.py",
+        "old": "report.fixed_numerals if report is not None else fixed_numerals(b)",
+        "new": "fixed_numerals(b)",
+        "tests": [
+            "tests/test_cli.py::test_sweep_fixedpoints_reuses_report",
         ],
     },
 ]

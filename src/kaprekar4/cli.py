@@ -8,7 +8,7 @@ fixed column order (null is an empty cell, booleans are ``true``/``false``),
 and ``--format text`` is one renderer per command that reads the same
 payload.  Output uses LF line endings and '.' as the decimal separator.
 ``sweep`` and ``verify`` plan their bases from one work estimate per base
-(:func:`~kaprekar4.dynamics.work_estimate`): ``--jobs N`` is a ceiling on
+(``_work_estimate``, the one cost model): ``--jobs N`` is a ceiling on
 worker processes, a run whose estimate does not cover a pool's measured
 start-up and per-task cost stays in-process, and a pool starts the most
 expensive bases first.  Rows are written in base order, so the output does
@@ -38,7 +38,6 @@ from .dynamics import (
     base_report,
     fixed_numerals,
     trajectory,
-    work_estimate,
 )
 from .pairs import pair_of_digits
 from .predictions import FiveMultiple, NoFixedPoint, classify_base
@@ -151,7 +150,7 @@ def parse_digit_list(text: str, b: int) -> DigitQuad:
     return DigitQuad(b, digits)
 
 
-# What a pool costs, in work_estimate units (~2.5 us each in-process).
+# What a pool costs, in _work_estimate units.
 # Measured on a 2-core host against --jobs 1, in fresh processes: a
 # two-worker pool costs ~0.034 s to start plus ~0.12 ms per task, and wins
 # back ~1.8 us per unit it moves off the critical path, so 0.034 s and
@@ -160,6 +159,24 @@ def parse_digit_list(text: str, b: int) -> DigitQuad:
 # 399 tasks) still lost 0.03 s.
 _POOL_START_UNITS = 20_000
 _POOL_TASK_UNITS = 64
+
+
+def _work_estimate(b: int, deep: bool = False) -> int:
+    """Units of work one base's row does: a unit is one reached pair of the
+    walk, ~1-3.5 us in-process (~2.5 us on average).
+
+    The walk reaches exactly 4^(n+1) pairs for ``FiveMultiple`` with m > 1,
+    at most b(b+1)/2 for the other bases with a fixed numeral, and none for
+    ``NoFixedPoint``, which counts 1.  A deep verify also walks all b(b+1)/2
+    canonical pairs: ~2 units each for a base with a fixed numeral
+    (predecessor rows, distance and grid checks), ~1/5 of a unit otherwise
+    (the step table alone).
+    """
+    cls = classify_base(b)
+    if isinstance(cls, NoFixedPoint):
+        return 1 + deep * b * (b + 1) // 10
+    walk = 4 ** (cls.n + 1) if isinstance(cls, FiveMultiple) and cls.m > 1 else b * (b + 1) // 2
+    return walk + deep * b * (b + 1)
 
 
 def _usable_cpus() -> int:
@@ -336,7 +353,7 @@ def _sweep_worker(task: tuple[int, frozenset[str]]) -> dict:
         "cb_match": cell(cb.fraction_verdict) if cb else None,
     }
     if "fixedpoints" in metrics:
-        row["fixed_points"] = fixed_numerals(b)
+        row["fixed_points"] = report.fixed_numerals if report is not None else fixed_numerals(b)
     return row
 
 
@@ -359,7 +376,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     bases = range(lo, hi + 1)
     # fixedpoints alone measures nothing: it reads the fixed pairs only
     measured = bool(_REPORT_METRICS.intersection(metrics))
-    costs = [work_estimate(b) if measured else 1 for b in bases]
+    costs = [_work_estimate(b) if measured else 1 for b in bases]
     rows = _parallel_map(_sweep_worker, [(b, frozenset(metrics)) for b in bases], costs,
                          args.jobs)
     payload = {"bases": [lo, hi], "metrics": metrics, "rows": rows}
@@ -449,15 +466,7 @@ def _verify_text(payload: dict) -> str:
 def cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = parse_base_range(args.bases)
     bases = range(lo, hi + 1)
-    # a deep verify also walks all b(b+1)/2 canonical pairs: ~2 units each
-    # for a base with a fixed numeral (predecessor rows, distance and grid
-    # checks), ~1/5 of a unit otherwise (the step table alone)
-    deep = args.depth == "deep"
-    costs = [
-        work_estimate(b)
-        + deep * b * (b + 1) // (10 if isinstance(classify_base(b), NoFixedPoint) else 1)
-        for b in bases
-    ]
+    costs = [_work_estimate(b, args.depth == "deep") for b in bases]
     reports = _parallel_map(_verify_worker, [(b, args.depth) for b in bases], costs, args.jobs)
     all_match = all(r["all_match"] for r in reports)
     payload = {"bases": [lo, hi], "depth": args.depth, "all_match": all_match, "reports": reports}

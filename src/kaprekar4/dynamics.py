@@ -9,7 +9,7 @@ picks the set: (3b/5, b/5) for ``FiveMultiple``, the fixed pair's one
 home, a scan for ``TwoOrFour``, none for ``NoFixedPoint``.  A trajectory
 derives its distance from its orbit.  The numpy oracle of
 :mod:`kaprekar4.enumeration`, an independent route, runs only on demand
-(``method="enumeration"``) and in the tests.
+(``method="enumeration"``) and in the tests.  It only measures; ``cli`` prices.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .digits import DigitQuad, join_digits, step_value, to_digits
 from .pairs import Pair, pair_count, predecessors_of, step_pair
-from .predictions import FiveMultiple, NoFixedPoint, TwoOrFour, classify_base
+from .predictions import FiveMultiple, TwoOrFour, classify_base
 
 
 @dataclass(frozen=True)
@@ -229,15 +229,3 @@ def base_report(b: int, method: str = "pairs") -> BaseReport:
         return convergence_report(b)
     return _pairs_report(pair_distance_map(b))
 
-
-def work_estimate(b: int) -> int:
-    """Units of work ``base_report(b)`` does on its route.
-
-    A unit is one reached pair, ~1-3.5 us: exactly 4^(n+1) for
-    ``FiveMultiple`` with m > 1, at most b(b+1)/2 for the other bases with a
-    fixed numeral.  ``NoFixedPoint`` counts 1.
-    """
-    cls = classify_base(b)
-    if isinstance(cls, FiveMultiple) and cls.m > 1:
-        return 4 ** (cls.n + 1)
-    return 1 if isinstance(cls, NoFixedPoint) else b * (b + 1) // 2

@@ -301,19 +301,30 @@ def test_sweep_metrics_deduplicated(capsys):
 
 def test_sweep_fixedpoints_reuses_report(monkeypatch):
     import kaprekar4.cli as cli_mod
+    import kaprekar4.dynamics as dynamics_mod
 
-    real = cli_mod.base_report
-    calls = []
+    real, real_pairs = cli_mod.base_report, dynamics_mod._fixed_pairs
+    want = {b: real(b).fixed_numerals for b in (2, 4, 20)}
+    calls, pair_calls = [], []
 
     def counted(b, *args, **kwargs):
         calls.append(b)
         return real(b, *args, **kwargs)
 
+    def counted_pairs(b):
+        pair_calls.append(b)
+        return real_pairs(b)
+
     monkeypatch.setattr(cli_mod, "base_report", counted)
-    # fixedpoints reads the fixed pairs: base 4 is still measured once
-    row = cli_mod._sweep_worker((4, frozenset({"mb", "fixedpoints"})))
-    assert calls == [4]
-    assert row["fixed_points"] == real(4).fixed_numerals
+    monkeypatch.setattr(dynamics_mod, "_fixed_pairs", counted_pairs)
+    # a measured row reads its report's fixed numerals, so each row looks
+    # its base's start set up once; for bases 2 and 4 that is a scan
+    for b, fixed in want.items():
+        for metrics, reports in (({"mb", "fixedpoints"}, [b]), ({"fixedpoints"}, [])):
+            calls.clear()
+            pair_calls.clear()
+            row = cli_mod._sweep_worker((b, frozenset(metrics)))
+            assert (calls, pair_calls, row["fixed_points"]) == (reports, [b], fixed), metrics
 
 
 def test_sweep_text_format(capsys):

@@ -1,6 +1,7 @@
 import random
 import pytest
 
+from kaprekar4.cli import _work_estimate
 from kaprekar4.digits import DigitQuad, join_digits, to_digits
 from kaprekar4.dynamics import (
     BaseReport,
@@ -12,7 +13,6 @@ from kaprekar4.dynamics import (
     fixed_numerals,
     pair_distance_map,
     trajectory,
-    work_estimate,
 )
 from kaprekar4.pairs import pair_count, step_pair
 from kaprekar4.predictions import classify_base
@@ -156,16 +156,17 @@ def test_work_estimate_bounds_the_pair_route():
     # the CLI plans its pool from this estimate: it may not undercount
     for b in (2, 4, *range(5, 401, 5)):
         reached = len(pair_distance_map(b).steps)
-        estimate = work_estimate(b)
+        estimate = _work_estimate(b)
         assert reached <= estimate, b
         if b > 4 and classify_base(b).m > 1:
             assert reached == estimate, b
-    assert [work_estimate(b) for b in (2, 4)] == [3, 10]
+    assert [_work_estimate(b) for b in (2, 4)] == [3, 10]
 
 
 def test_work_estimate_of_other_routes(monkeypatch):
     # each base runs exactly the route of its class, and its estimate is
-    # that route's formula, written here from b alone
+    # that route's formula, written here from b alone; a deep verify adds
+    # b(b+1) where a fixed numeral exists and b(b+1)//10 elsewhere
     import kaprekar4.dynamics as dynamics_mod
 
     routes = []
@@ -176,18 +177,20 @@ def test_work_estimate_of_other_routes(monkeypatch):
         return real(b)
 
     monkeypatch.setattr(dynamics_mod, "pair_distance_map", pairs)
-    for b in range(2, 401):
-        routes.clear()
-        base_report(b)
-        assert routes == ["pairs"], b
+    for b in [*range(2, 401), 40960, 61440, 65536]:
+        if b <= 400:
+            routes.clear()
+            base_report(b)
+            assert routes == ["pairs"], b
         if b % 5 and b not in (2, 4):
-            want = 1
+            want, deep = 1, b * (b + 1) // 10
         elif b % 5 or (b // 5) & (b // 5 - 1) == 0:  # b in {2, 4} or b = 5 * 2^n
-            want = b * (b + 1) // 2
+            want, deep = b * (b + 1) // 2, b * (b + 1)
         else:  # 4^(n+1) for b = 5m * 2^n, m > 1 odd
-            want = 4 * (b & -b) ** 2
-        assert work_estimate(b) == want, b
-    assert [work_estimate(b) for b in (2, 3, 4, 6, 65536)] == [3, 1, 10, 1, 1]
+            want, deep = 4 * (b & -b) ** 2, b * (b + 1)
+        assert _work_estimate(b) == want, b
+        assert _work_estimate(b, True) - _work_estimate(b) == deep, b
+    assert [_work_estimate(b) for b in (2, 3, 4, 6, 65536)] == [3, 1, 10, 1, 1]
 
 
 def test_integer_distance_examples():

@@ -223,7 +223,8 @@ def test_dynamics_reads_only_the_classification_from_predictions():
             assert "predictions" not in {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
             assert not [a for a in node.names if a.name.split(".")[-1] == "predictions"]
-    assert names <= {"classify_base", "FiveMultiple", "NoFixedPoint", "TwoOrFour"}, names
+    # and it prices no work: the CLI plans
+    assert names <= {"classify_base", "FiveMultiple", "TwoOrFour"}, names
 
 
 def test_cli_judges_only_through_verify():
