@@ -170,4 +170,74 @@ MUTANTS = [
             "tests/test_cli.py::test_sweep_fixedpoints_reuses_report",
         ],
     },
+    # g*(1, 0) arrives at g*(2, 1) in column 1 (n = 1 mod 4), not at g*(4, 3)
+    {
+        "name": "arrival-column-slip",
+        "file": "kaprekar4/tables.py",
+        "old": "(1, 0): (1, 1, ((1, 0), (4, 3), (2, 1), (3, 2))),",
+        "new": "(1, 0): (1, 1, ((1, 0), (2, 1), (2, 1), (3, 2))),",
+        "tests": [
+            "tests/test_predictions.py::test_grid_arrival_matches_iteration",
+            "tests/test_verify.py::test_deep_bases_all_match[160]",
+            "tests/test_acceptance.py::test_criterion_11_arrival_table",
+        ],
+    },
+    # a cell one step from the fixed pair g*(3, 1) is tabulated at two steps;
+    # the orbit stays on the fixed pair, so only the pinned entry sees it
+    {
+        "name": "arrival-one-step-row-takes-two",
+        "file": "kaprekar4/tables.py",
+        "old": "(2, 1): (0, 1, ((3, 1),) * 4),",
+        "new": "(2, 1): (0, 2, ((3, 1),) * 4),",
+        "tests": [
+            "tests/test_predictions.py::test_grid_arrival_entries",
+        ],
+    },
+    # the (b/2^k, 5) witnesses are stated to land one step early
+    {
+        "name": "halving-witness-one-step-early",
+        "file": "kaprekar4/tables.py",
+        "old": "2 * n + 2, cells[col]",
+        "new": "2 * n + 1, cells[col]",
+        "tests": [
+            "tests/test_predictions.py::test_landing_witnesses_rows",
+            "tests/test_predictions.py::test_witness_rows_measured_small_n",
+            "tests/test_verify.py::test_deep_bases_all_match[160]",
+            "tests/test_acceptance.py::test_criterion_10_landing_bounds",
+        ],
+    },
+    # the landing bound of g*(2, 0) is 2n + 1, one more than any orbit takes
+    {
+        "name": "landing-bound-row-too-high",
+        "file": "kaprekar4/tables.py",
+        "old": "(2, 0): (2, 0), (4, 2): (2, 0),",
+        "new": "(2, 0): (2, 1), (4, 2): (2, 0),",
+        "tests": [
+            "tests/test_verify.py::test_deep_bases_all_match[160]",
+            "tests/test_acceptance.py::test_criterion_10_landing_bounds",
+        ],
+    },
+    # the historical transcription 3n + 4 of the (3, 0) total for n = 0 mod 4
+    {
+        "name": "cell-bound-3-0-slip",
+        "file": "kaprekar4/tables.py",
+        "old": "(3, 0): (_lin(4, 5),",
+        "new": "(3, 0): (_lin(3, 4),",
+        "tests": [
+            "tests/test_predictions.py::test_cell_step_bound_entries",
+            "tests/test_verify.py::test_every_cell_bound_holds_cell_by_cell[4]",
+        ],
+    },
+    # predict_max_distance reads its explicit list before any base check,
+    # and 2.0 == 2 is a key of it
+    {
+        "name": "predict-max-distance-unguarded",
+        "file": "kaprekar4/predictions.py",
+        "old": "check_base(b)\n    if b in _EXPLICIT_MAX_DISTANCE:",
+        "new": "if b in _EXPLICIT_MAX_DISTANCE:",
+        "tests": [
+            "tests/test_predictions.py::"
+            "test_predictors_reject_what_check_base_rejects[2.0-predict_max_distance]",
+        ],
+    },
 ]

@@ -82,7 +82,6 @@ def predict_convergent_fraction(b: int) -> Fraction | None:
     b = 5*2^n with n = 0 or n odd every non-repdigit converges, giving
     (b^4 - b) / b^4.  No formula is emitted for the remaining bases.
     """
-    check_base(b)
     cls = classify_base(b)
     if not isinstance(cls, FiveMultiple):
         return None

@@ -1,12 +1,15 @@
 """Literal data tables for the bases b = 5 * 2^n, one per grid-cell fact:
 landing bounds, the arrival grid, landing witnesses and total steps.
 
-They are embedded as constants, keyed by grid cell and by n mod 4 (an entry
-a*n + c is the row (a, c)), and verified computationally by the test suite
-and :mod:`.verify`.  They are never used as the computation itself, so a
-transcription slip shows up as a mismatch against measurement instead of
-silently steering results.  Each non-cycle total-step entry is checked cell
-by cell, against every pair that first lands on that cell.
+They are embedded as constants, keyed by grid cell and by n mod 4, and
+verified computationally by the test suite and :mod:`.verify`.  The bound
+and arrival tables store a step count a*n + c as the row (a, c), and the
+lookups answer in :func:`~kaprekar4.predictions.grid_landing`'s shape:
+:func:`grid_arrival` gives (steps, cell), :func:`landing_witnesses` gives
+(start, steps, cell) rows.  The tables are never used as the computation
+itself, so a transcription slip shows up as a mismatch against measurement
+instead of silently steering results.  Each non-cycle total-step entry is
+checked cell by cell, against every pair that first lands on that cell.
 
 Grid cells: a pair with both coordinates divisible by g = b/5 is written
 g*(p, q) and identified with the cell (p, q), 0 <= q <= p <= 4.
@@ -14,29 +17,30 @@ g*(p, q) and identified with the cell (p, q), 0 <= q <= p <= 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .pairs import Pair
 
 Cell = tuple[int, int]
 
-# After exactly n+1 steps, the orbit of g*(p, q) arrives at g*(column entry).
-_ARRIVAL_GRID: dict[Cell, tuple[Cell, Cell, Cell, Cell]] = {
-    (1, 0): ((1, 0), (4, 3), (2, 1), (3, 2)),
-    (2, 0): ((4, 3), (2, 1), (3, 2), (1, 0)),
-    (3, 0): ((3, 2), (1, 0), (4, 3), (2, 1)),
-    (4, 0): ((2, 1), (3, 2), (1, 0), (4, 3)),
-    (4, 1): ((4, 2), (2, 0), (4, 2), (2, 0)),
-    (1, 1): ((4, 2), (2, 0), (4, 2), (2, 0)),
-    (4, 4): ((4, 2), (2, 0), (4, 2), (2, 0)),
-    (3, 2): ((2, 0), (4, 2), (2, 0), (4, 2)),
-    (2, 2): ((2, 0), (4, 2), (2, 0), (4, 2)),
-    (3, 3): ((2, 0), (4, 2), (2, 0), (4, 2)),
+# After a*n + c steps, the orbit of g*(p, q) arrives at g*(column entry): n+1
+# steps for the ten cells that circle the grid, one for the fixed pair (0, 0)
+# and for the four cells that step straight onto the fixed pair g*(3, 1).
+_ARRIVAL_ROWS: dict[Cell, tuple[int, int, tuple[Cell, Cell, Cell, Cell]]] = {
+    (1, 0): (1, 1, ((1, 0), (4, 3), (2, 1), (3, 2))),
+    (2, 0): (1, 1, ((4, 3), (2, 1), (3, 2), (1, 0))),
+    (3, 0): (1, 1, ((3, 2), (1, 0), (4, 3), (2, 1))),
+    (4, 0): (1, 1, ((2, 1), (3, 2), (1, 0), (4, 3))),
+    (4, 1): (1, 1, ((4, 2), (2, 0), (4, 2), (2, 0))),
+    (1, 1): (1, 1, ((4, 2), (2, 0), (4, 2), (2, 0))),
+    (4, 4): (1, 1, ((4, 2), (2, 0), (4, 2), (2, 0))),
+    (3, 2): (1, 1, ((2, 0), (4, 2), (2, 0), (4, 2))),
+    (2, 2): (1, 1, ((2, 0), (4, 2), (2, 0), (4, 2))),
+    (3, 3): (1, 1, ((2, 0), (4, 2), (2, 0), (4, 2))),
+    (0, 0): (0, 1, ((0, 0),) * 4),
+    (2, 1): (0, 1, ((3, 1),) * 4),
+    (3, 1): (0, 1, ((3, 1),) * 4),
+    (4, 2): (0, 1, ((3, 1),) * 4),
+    (4, 3): (0, 1, ((3, 1),) * 4),
 }
-
-# The remaining five cells leave the grid question trivial: (0,0) is a fixed
-# pair, and these four step straight onto the fixed pair g*(3, 1).
-_ONE_STEP_TO_FIXED: frozenset[Cell] = frozenset({(2, 1), (3, 1), (4, 2), (4, 3)})
 
 
 def _check_cell(p: int, q: int) -> None:
@@ -61,32 +65,16 @@ def landing_bound(p: int, q: int, n: int) -> int:
     return a * n + c
 
 
-@dataclass(frozen=True)
-class GridArrival:
-    steps: int
-    cell: Cell
-
-
-def grid_arrival(p: int, q: int, n: int) -> GridArrival:
-    """Tabulated pair reached from g*(p, q), with the step count."""
+def grid_arrival(p: int, q: int, n: int) -> tuple[int, Cell]:
+    """Tabulated (steps, cell) that the orbit of g*(p, q) arrives at."""
     _check_cell(p, q)
-    if (p, q) == (0, 0):
-        return GridArrival(steps=1, cell=(0, 0))
-    if (p, q) in _ONE_STEP_TO_FIXED:
-        return GridArrival(steps=1, cell=(3, 1))
-    return GridArrival(steps=n + 1, cell=_ARRIVAL_GRID[(p, q)][n % 4])
+    a, c, cells = _ARRIVAL_ROWS[(p, q)]
+    return a * n + c, cells[n % 4]
 
 
 # ---------------------------------------------------------------------------
 # Starting pairs attaining the landing bounds
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LandingWitness:
-    start: Pair
-    steps: int
-    cell: Cell
 
 
 _FIXED_WITNESS_ROWS: tuple[tuple[Pair, int, tuple[Cell, Cell, Cell, Cell]], ...] = (
@@ -105,7 +93,7 @@ _HALVING_WITNESS_ROWS: tuple[tuple[int, tuple[Cell, Cell, Cell, Cell]], ...] = (
 )
 
 
-def landing_witnesses(n: int) -> list[LandingWitness]:
+def landing_witnesses(n: int) -> list[tuple[Pair, int, Cell]]:
     """Starting pairs whose landing attains the bound, for base b = 5 * 2^n.
 
     The first five rows need only n >= 2; the (b/2^k, 5) rows apply once
@@ -115,15 +103,10 @@ def landing_witnesses(n: int) -> list[LandingWitness]:
         raise ValueError(f"witness rows need n >= 2, got {n}")
     b = 5 * 2**n
     col = n % 4
-    out = [
-        LandingWitness(start=start, steps=mult * n, cell=cells[col])
-        for start, mult, cells in _FIXED_WITNESS_ROWS
-    ]
+    out = [(start, mult * n, cells[col]) for start, mult, cells in _FIXED_WITNESS_ROWS]
     for divisor, cells in _HALVING_WITNESS_ROWS:
         if b % divisor == 0 and b // divisor > 5:
-            out.append(
-                LandingWitness(start=(b // divisor, 5), steps=2 * n + 2, cell=cells[col])
-            )
+            out.append(((b // divisor, 5), 2 * n + 2, cells[col]))
     return out
 
 

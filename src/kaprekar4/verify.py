@@ -289,10 +289,10 @@ def _grid_checks(b: int, n: int, table: array) -> list[Check]:
     # arrival table: iterate each grid cell the stated number of steps
     detail = ""
     for p, q in cell_pairs:
-        entry = grid_arrival(p, q, n)
-        cur = _orbit((p * g, q * g), entry.steps, table)[-1]
-        if cur != (entry.cell[0] * g, entry.cell[1] * g):
-            detail = f"cell ({p},{q}) reaches {cur}, table says {entry.cell}"
+        s, cell = grid_arrival(p, q, n)
+        cur = _orbit((p * g, q * g), s, table)[-1]
+        if cur != (cell[0] * g, cell[1] * g):
+            detail = f"cell ({p},{q}) reaches {cur}, table says {cell}"
             break
     checks.append(Check("grid-arrival-table", not detail, detail))
 
@@ -309,11 +309,11 @@ def _grid_checks(b: int, n: int, table: array) -> list[Check]:
 
     # tightness: witness rows, per-cell attainment, column maxima, cycle rows
     detail = ""
-    for w in landing_witnesses(n):
-        c = _code(w.start)
+    for start, s, cell in landing_witnesses(n):
+        c = _code(start)
         measured = (steps[c], _pair_at(cells[c]))
-        if measured != (w.steps, w.cell):
-            detail = f"start {w.start}: measured {measured}, stated {(w.steps, w.cell)}"
+        if measured != (s, cell):
+            detail = f"start {start}: measured {measured}, stated {(s, cell)}"
             break
     checks.append(Check("landing-witnesses", not detail, detail))
 
@@ -353,7 +353,7 @@ def _cycle_row_representatives(cell: Pair, b: int, n: int) -> list[int]:
         repunit = join_digits((1, 1, 1, 1), b)
         return [repunit, 2 * repunit]
     starts = [(cell[0] * g, cell[1] * g)]
-    starts.extend(w.start for w in landing_witnesses(n) if w.cell == cell)
+    starts.extend(start for start, _, c in landing_witnesses(n) if c == cell)
     values = []
     for d, dp in starts:
         values.append(join_digits((d, dp, 0, 0), b))

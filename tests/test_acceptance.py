@@ -227,10 +227,10 @@ def test_criterion_10_landing_bounds():
             for cell, steps in sorted(worst.items()):
                 if steps != landing_bound(*cell, n):
                     problems.append(f"n={n} cell {cell}: bound unattained ({steps})")
-            for w in landing_witnesses(n):
-                landing = grid_landing(w.start, b)
-                if landing != (w.steps, w.cell):
-                    problems.append(f"n={n} witness {w.start}: measured {landing}")
+            for start, steps, cell in landing_witnesses(n):
+                landing = grid_landing(start, b)
+                if landing != (steps, cell):
+                    problems.append(f"n={n} witness {start}: measured {landing}")
     _finish("10", "grid landing bounds hold (n=2..7) and are attained (n=5..7)", 120.0, t0, problems)
 
 
@@ -242,12 +242,12 @@ def test_criterion_11_arrival_table():
         g = 2**n
         for p in range(5):
             for q in range(p + 1):
-                entry = grid_arrival(p, q, n)
+                steps, cell = grid_arrival(p, q, n)
                 cur = (p * g, q * g)
-                for _ in range(entry.steps):
+                for _ in range(steps):
                     cur = step_pair(cur, b)
-                if cur != (entry.cell[0] * g, entry.cell[1] * g):
-                    problems.append(f"n={n} cell ({p},{q}): reached {cur}, table {entry.cell}")
+                if cur != (cell[0] * g, cell[1] * g):
+                    problems.append(f"n={n} cell ({p},{q}): reached {cur}, table {cell}")
     _finish("11", "arrival table reproduced by iteration for n=2..9", 1.0, t0, problems)
 
 

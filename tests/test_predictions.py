@@ -20,6 +20,7 @@ from kaprekar4.tables import (
     landing_witnesses,
     max_total_steps,
 )
+from kaprekar4.digits import check_base
 from kaprekar4.dynamics import fixed_numerals
 from kaprekar4.pairs import step_pair
 from oracles import fixed_point_digits, oracle_step
@@ -109,6 +110,18 @@ def test_predict_convergent_fraction_values():
     assert predict_convergent_fraction(7) is None
 
 
+@pytest.mark.parametrize("predict", [predict_max_distance, predict_convergent_fraction])
+@pytest.mark.parametrize("b", [1, 65537, 2.0, True])
+def test_predictors_reject_what_check_base_rejects(predict, b):
+    # 2.0 == 2 is a key of the explicit distance list, so the guard must run
+    # before any lookup; True is an int that is not a base
+    with pytest.raises(ValueError) as want:
+        check_base(b)
+    with pytest.raises(ValueError) as got:
+        predict(b)
+    assert str(got.value) == str(want.value)
+
+
 def test_predicted_count_formula():
     # |S_b| = 40 * 4^n * m^2 * (1 + 5*4^n) for odd m > 1
     for b in (15, 30, 35, 45, 60, 70, 90, 120):
@@ -179,11 +192,10 @@ def test_grid_landing_base_validation():
 
 
 def test_grid_arrival_entries():
-    assert grid_arrival(1, 0, 4).cell == (1, 0)
-    assert grid_arrival(1, 0, 4).steps == 5
-    assert grid_arrival(4, 1, 5).cell == (2, 0)
-    assert (grid_arrival(2, 1, 9).steps, grid_arrival(2, 1, 9).cell) == (1, (3, 1))
-    assert grid_arrival(0, 0, 6).cell == (0, 0)
+    assert grid_arrival(1, 0, 4) == (5, (1, 0))
+    assert grid_arrival(4, 1, 5) == (6, (2, 0))
+    assert grid_arrival(2, 1, 9) == (1, (3, 1))
+    assert grid_arrival(0, 0, 6) == (1, (0, 0))
     with pytest.raises(ValueError):
         grid_arrival(0, 1, 4)
 
@@ -195,11 +207,11 @@ def test_grid_arrival_matches_iteration():
         g = 2**n
         for p in range(5):
             for q in range(p + 1):
-                entry = grid_arrival(p, q, n)
+                steps, cell = grid_arrival(p, q, n)
                 cur = (p * g, q * g)
-                for _ in range(entry.steps):
+                for _ in range(steps):
                     cur = step_pair(cur, b)
-                assert cur == (entry.cell[0] * g, entry.cell[1] * g), (n, p, q)
+                assert cur == (cell[0] * g, cell[1] * g), (n, p, q)
 
 
 def test_cell_step_bound_entries():
@@ -233,14 +245,14 @@ def test_cycle_cells_by_column():
 
 
 def test_landing_witnesses_rows():
-    rows = {w.start: w for w in landing_witnesses(5)}
+    rows = {start: (steps, cell) for start, steps, cell in landing_witnesses(5)}
     assert len(rows) == 9
     b = 160
-    assert rows[(b // 2, 5)].steps == 12 and rows[(b // 2, 5)].cell == (1, 0)
-    assert rows[(4, 1)].steps == 5
-    assert rows[(9, 1)].steps == 10
+    assert rows[(b // 2, 5)] == (12, (1, 0))
+    assert rows[(4, 1)][0] == 5
+    assert rows[(9, 1)][0] == 10
     # (b/4, 5) = (5,5) is excluded at n = 2: first coordinate must exceed 5
-    starts2 = [w.start for w in landing_witnesses(2)]
+    starts2 = [start for start, _, _ in landing_witnesses(2)]
     assert (10, 5) in starts2 and (5, 5) not in starts2
     with pytest.raises(ValueError):
         landing_witnesses(1)
@@ -250,5 +262,5 @@ def test_witness_rows_measured_small_n():
     # the fixed witness rows claim exact landings for every n >= 2
     for n in (2, 3, 4):
         b = 5 * 2**n
-        for w in landing_witnesses(n):
-            assert grid_landing(w.start, b) == (w.steps, w.cell), (n, w)
+        for start, steps, cell in landing_witnesses(n):
+            assert grid_landing(start, b) == (steps, cell), (n, start)

@@ -202,8 +202,8 @@ def _with_column(row, col, entry):
 
 def _slip_arrival_grid(monkeypatch):
     # n = 5 reads column 1, where g*(1, 0) arrives at g*(4, 3)
-    row = tables._ARRIVAL_GRID[(1, 0)]
-    monkeypatch.setitem(tables._ARRIVAL_GRID, (1, 0), _with_column(row, 1, (2, 1)))
+    a, c, cells = tables._ARRIVAL_ROWS[(1, 0)]
+    monkeypatch.setitem(tables._ARRIVAL_ROWS, (1, 0), (a, c, _with_column(cells, 1, (2, 1))))
 
 
 def _slip_witness_row(monkeypatch):
