@@ -228,6 +228,106 @@ MUTANTS = [
             "tests/test_verify.py::test_every_cell_bound_holds_cell_by_cell[4]",
         ],
     },
+    # the fixed pair g*(3, 1) is tabulated to return to itself in two steps;
+    # it is there after one, and stays
+    {
+        "name": "arrival-fixed-cell-takes-two",
+        "file": "kaprekar4/tables.py",
+        "old": "(3, 1): (0, 1, ((3, 1),) * 4),",
+        "new": "(3, 1): (0, 2, ((3, 1),) * 4),",
+        "tests": [
+            "tests/test_predictions.py::test_grid_arrival_matches_iteration",
+            "tests/test_verify.py::test_deep_bases_all_match[160]",
+            "tests/test_acceptance.py::test_criterion_11_arrival_table",
+        ],
+    },
+    # the fixed pair g*(3, 1) is tabulated to return to itself in no steps
+    {
+        "name": "arrival-fixed-cell-takes-none",
+        "file": "kaprekar4/tables.py",
+        "old": "(3, 1): (0, 1, ((3, 1),) * 4),",
+        "new": "(3, 1): (0, 0, ((3, 1),) * 4),",
+        "tests": [
+            "tests/test_predictions.py::test_grid_arrival_matches_iteration",
+            "tests/test_verify.py::test_deep_bases_all_match[160]",
+            "tests/test_acceptance.py::test_criterion_11_arrival_table",
+        ],
+    },
+    # g*(4, 2) is tabulated to reach the fixed pair g*(3, 1) in two steps, not one
+    {
+        "name": "arrival-4-2-takes-two",
+        "file": "kaprekar4/tables.py",
+        "old": "(4, 2): (0, 1, ((3, 1),) * 4),",
+        "new": "(4, 2): (0, 2, ((3, 1),) * 4),",
+        "tests": [
+            "tests/test_predictions.py::test_grid_arrival_matches_iteration",
+            "tests/test_verify.py::test_deep_bases_all_match[160]",
+            "tests/test_acceptance.py::test_criterion_11_arrival_table",
+        ],
+    },
+    # g*(4, 3) is tabulated to reach the fixed pair g*(3, 1) in two steps, not one
+    {
+        "name": "arrival-4-3-takes-two",
+        "file": "kaprekar4/tables.py",
+        "old": "(4, 3): (0, 1, ((3, 1),) * 4),",
+        "new": "(4, 3): (0, 2, ((3, 1),) * 4),",
+        "tests": [
+            "tests/test_predictions.py::test_grid_arrival_matches_iteration",
+            "tests/test_verify.py::test_deep_bases_all_match[160]",
+            "tests/test_acceptance.py::test_criterion_11_arrival_table",
+        ],
+    },
+    # the fixed pair's A-type rule row leaves out the fixed pair itself; the
+    # walk seeds that pair, so only predecessor-inversion's own derivation of
+    # the fixed row sees it
+    {
+        "name": "fixed-row-without-itself",
+        "file": "kaprekar4/pairs.py",
+        "old": "        out.add((dp + 1, 0))\n    return out\n",
+        "new": "        out.add((dp + 1, 0))\n    return out - {pair}\n",
+        "tests": [
+            "tests/test_verify.py::test_deep_bases_all_match[20]",
+            "tests/test_verify.py::test_deep_bases_all_match[160]",
+        ],
+    },
+    # predecessor-inversion derives no general row for a pair the walk never
+    # reached, only the fixed rows
+    {
+        "name": "inversion-skips-unreached-rows",
+        "file": "kaprekar4/verify.py",
+        "old": "if (dist[c] < 0 or c in fixed) and misses(",
+        "new": "if c in fixed and misses(",
+        "tests": [
+            "tests/test_verify.py::test_wrong_preimage_fails_predecessor_inversion["
+            f"predecessors_of-20-start0-table wrong at -{m}]"
+            for m in ("_drop_one_candidate", "_swap_in_a_stranger", "_swap_in_a_non_canonical")
+        ],
+    },
+    # an A-type rule row with a matching parity drops its (b+d)/2, (b+dp)/2
+    # candidate
+    {
+        "name": "a-type-row-drops-a-candidate",
+        "file": "kaprekar4/pairs.py",
+        "old": "out = {(u, v), (u, w), (w, z), (v, z)}",
+        "new": "out = {(u, w), (w, z), (v, z)}",
+        "tests": [
+            "tests/test_verify.py::test_deep_bases_all_match[20]",
+            "tests/test_verify.py::test_deep_bases_all_match[160]",
+        ],
+    },
+    # fixed-numeral-landing never steps a numeral of a first-generation
+    # predecessor pair, so none can short-circuit
+    {
+        "name": "landing-short-circuit-half-off",
+        "file": "kaprekar4/verify.py",
+        "old": "if _step_value(x, b) == v_fixed:",
+        "new": "if False and _step_value(x, b) == v_fixed:",
+        "tests": [
+            "tests/test_verify.py::test_wrong_step_fails_fixed_numeral_landing["
+            "65600-True-65600 (pair (8, 4)) short-circuits]",
+            "tests/test_verify.py::test_deep_verify_call_counts[320]",
+        ],
+    },
     # predict_max_distance reads its explicit list before any base check,
     # and 2.0 == 2 is a key of it
     {

@@ -46,11 +46,15 @@ class DigitQuad:
         return join_digits(self.digits, self.base)
 
 
-def split_digits(x: int, b: int) -> Digits:
-    """Positional expansion of x as exactly four base-b digits."""
+def _check_value(x: int, b: int) -> None:
     check_base(b)
     if not 0 <= x < b**4:
         raise ValueError(f"value {x} outside [0, {b**4}) for base {b}")
+
+
+def split_digits(x: int, b: int) -> Digits:
+    """Positional expansion of x as exactly four base-b digits."""
+    _check_value(x, b)
     x, a0 = divmod(x, b)
     x, a1 = divmod(x, b)
     a3, a2 = divmod(x, b)
@@ -73,5 +77,15 @@ def step_value(x: int, b: int) -> int:
     digit minus the ascending one's, and the four place differences are
     read as one base-b number.
     """
-    s0, s1, s2, s3 = sorted(split_digits(x, b))
+    _check_value(x, b)
+    return _step_value(x, b)
+
+
+def _step_value(x: int, b: int) -> int:
+    """:func:`step_value`'s arithmetic, unchecked: the caller has checked b
+    and 0 <= x < b^4."""
+    x, a0 = divmod(x, b)
+    x, a1 = divmod(x, b)
+    a3, a2 = divmod(x, b)
+    s0, s1, s2, s3 = sorted((a3, a2, a1, a0))
     return (((s3 - s0) * b + (s2 - s1)) * b + (s1 - s2)) * b + (s0 - s3)

@@ -14,7 +14,6 @@ derives its distance from its orbit.  The numpy oracle of
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,8 +127,9 @@ def _fixed_pairs(b: int) -> tuple[Pair, ...]:
 
 
 def pair_distance_map(b: int) -> PairDistanceMap:
-    """Reverse breadth-first distances to the fixed pairs; empty for a base
-    with no fixed numeral, which has no fixed pair to start from.
+    """Reverse breadth-first distances to the fixed pairs, walked one level
+    at a time; empty for a base with no fixed numeral, which has no fixed
+    pair to start from.
 
     One guard step per reached pair: a candidate predecessor that is not
     canonical or does not step onto its target raises ``RuntimeError``.
@@ -137,16 +137,18 @@ def pair_distance_map(b: int) -> PairDistanceMap:
     """
     fixed = _fixed_pairs(b)
     steps = dict.fromkeys(fixed, 0)
-    queue = deque(fixed)
-    while queue:
-        p = queue.popleft()
-        s = steps[p] + 1
-        for q in predecessors_of(p, b):
-            if not 0 <= q[1] <= q[0] < b or step_pair(q, b) != p:
-                raise RuntimeError(f"predecessor {q} of {p} misses it in base {b}")
-            if q not in steps:
-                steps[q] = s
-                queue.append(q)
+    level, s = list(fixed), 0
+    while level:
+        s += 1
+        nxt = []
+        for p in level:
+            for q in predecessors_of(p, b):
+                if not 0 <= q[1] <= q[0] < b or step_pair(q, b) != p:
+                    raise RuntimeError(f"predecessor {q} of {p} misses it in base {b}")
+                if q not in steps:
+                    steps[q] = s
+                    nxt.append(q)
+        level = nxt
     return PairDistanceMap(base=b, fixed=fixed, steps=steps)
 
 

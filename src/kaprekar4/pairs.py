@@ -113,8 +113,11 @@ def _not_canonical(d: int, dp: int, b: int) -> NoReturn:
 # "d = d' = (b-1)/2  <-  ((b+1)/2, 0)" and is what is implemented here.
 # The exhaustive-scan tests pin this down for every base from 2 to 60 and
 # for 97, 98, 99, 100 and 320.  The rows are checked where they are used,
-# not here: by the guard step in the BFS of ``dynamics.pair_distance_map``
-# and by verify's predecessor-inversion check.
+# not here.  The guard step in the BFS of ``dynamics.pair_distance_map``
+# checks the general row of every pair the walk reaches.  Verify's
+# predecessor-inversion check derives the general rows of the other pairs
+# and of the fixed pairs, and every condensed row, and holds each to the
+# step table by count and image.
 #
 # Both rule sets branch in :func:`step_pair`'s order and emit each row
 # already canonical.  With d >= dp the four A-type sign candidates come out

@@ -21,9 +21,10 @@ from .pairs import Pair
 
 Cell = tuple[int, int]
 
-# After a*n + c steps, the orbit of g*(p, q) arrives at g*(column entry): n+1
-# steps for the ten cells that circle the grid, one for the fixed pair (0, 0)
-# and for the four cells that step straight onto the fixed pair g*(3, 1).
+# The orbit of g*(p, q) first returns to the grid after a*n + c steps, at
+# g*(column entry): n+1 steps for the ten cells that circle the grid, one for
+# the fixed pair (0, 0) and for the four cells that step straight onto the
+# fixed pair g*(3, 1).
 _ARRIVAL_ROWS: dict[Cell, tuple[int, int, tuple[Cell, Cell, Cell, Cell]]] = {
     (1, 0): (1, 1, ((1, 0), (4, 3), (2, 1), (3, 2))),
     (2, 0): (1, 1, ((4, 3), (2, 1), (3, 2), (1, 0))),
@@ -66,7 +67,8 @@ def landing_bound(p: int, q: int, n: int) -> int:
 
 
 def grid_arrival(p: int, q: int, n: int) -> tuple[int, Cell]:
-    """Tabulated (steps, cell) that the orbit of g*(p, q) arrives at."""
+    """Tabulated (steps, cell) of the orbit of g*(p, q)'s first return to
+    the grid, after at least one step."""
     _check_cell(p, q)
     a, c, cells = _ARRIVAL_ROWS[(p, q)]
     return a * n + c, cells[n % 4]

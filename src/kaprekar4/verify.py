@@ -18,8 +18,11 @@ labelled by class, holds the pairs the table fixes to the map's start set
 plus (0, 0).  The landing check reads the fixed pair and numeral from the
 map and the report.  The checks walk pair orbits only through that table,
 and read every grid landing, the witnesses' too, from one memo over it.
-Each general predecessor rule row is checked against the table by count
-and image, and each condensed row against the general one.
+The walk's guard checks each member of the general rows it takes, and a
+member missing from one of them shows as a hole in the map.  The inversion
+check derives the general rows of the pairs the walk does not reach and of
+the fixed pairs, and every condensed row, and checks each against the table
+by count and image.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .digits import join_digits, step_value, to_digits
+from .digits import _step_value, check_base, join_digits, to_digits
 from .dynamics import (
     BaseReport,
     Cycle,
@@ -43,6 +46,7 @@ from .pairs import (
     PairType,
     _canon,
     _code,
+    _not_canonical,
     _pair_at,
     _step_table,
     classify_pair,
@@ -123,9 +127,12 @@ def _offenders(label: str, what: str, offenders: list) -> Check:
 
 
 def _pair_numerals(pair: Pair, b: int):
-    """One numeral value per sorted digit multiset realising ``pair``."""
+    """One numeral value per sorted digit multiset realising ``pair``, each
+    in [0, b^4); a pair that is not canonical raises ``ValueError``."""
     # for one shift s the numerals (s+d, s+t+dp, s+t, s) step by b^2 + b in t
     d, dp = pair
+    if not 0 <= dp <= d < b:
+        _not_canonical(d, dp, b)
     step = b * b + b
     for s in range(b - d):
         first = join_digits((s + d, s + dp, s, s), b)
@@ -135,12 +142,15 @@ def _pair_numerals(pair: Pair, b: int):
 def _check_fixed_numeral_landing(b: int, target: Pair, v_fixed: int) -> Check:
     """Numerals on the fixed pair ``target`` step onto the fixed numeral
     ``v_fixed``; numerals on a first-generation predecessor pair never do."""
+    # _pair_numerals rejects a pair that is not canonical, so with b checked
+    # every numeral lies in [0, b^4) and the unchecked step may take it
+    check_base(b)
     for x in _pair_numerals(target, b):
-        if step_value(x, b) != v_fixed:
+        if _step_value(x, b) != v_fixed:
             return Check("fixed-numeral-landing", False, f"{x} misses the fixed numeral")
     for p in predecessors_of(target, b) - {target}:
         for x in _pair_numerals(p, b):
-            if step_value(x, b) == v_fixed:
+            if _step_value(x, b) == v_fixed:
                 return Check(
                     "fixed-numeral-landing", False, f"{x} (pair {p}) short-circuits"
                 )
@@ -149,36 +159,49 @@ def _check_fixed_numeral_landing(b: int, target: Pair, v_fixed: int) -> Check:
 
 def _check_predecessor_inversion(b: int, table: array, pdm: PairDistanceMap) -> Check:
     """The predecessor tables equal a scan of the forward step, and the
-    reverse-BFS distance map equals the forward walk."""
-    # A rule row is a set and each pair has one image, so the row equals the
-    # preimage of code c exactly when it has counts[c] members, each of them
-    # canonical and stepping onto c.  A condensed row is then right exactly
-    # when it equals the general row.
+    reverse-BFS distance map equals the forward walk.
+
+    A rule row is a set and each pair has one image, so the row equals the
+    preimage of code c exactly when it has counts[c] members, each of them
+    canonical and stepping onto c.  Every condensed row is held to that.
+    A general row is derived here only for a pair absent from the map, and
+    for each fixed pair.  The walk took every other pair's row, and its
+    guard checked each member: canonical, stepping onto the pair.  If such
+    a row missed a true preimage q, then q is absent from the map while its
+    image is in it, and the distance comparison below fails at q.  The one
+    member the walk cannot see is a fixed pair in its own row, because the
+    walk seeds that pair; so the fixed rows are derived again.
+    """
     counts = array("l", [0]) * len(table)
     for t in table:
         counts[t] += 1
+    dist = array("l", [-1]) * len(table)
+    for (x, y), s in pdm.steps.items():
+        dist[x * (x + 1) // 2 + y] = s
+    fixed = {_code(p) for p in pdm.fixed}
+
+    def misses(row: set[Pair], c: int) -> bool:
+        if len(row) != counts[c]:
+            return True
+        for x, y in row:
+            if not 0 <= y <= x < b or table[x * (x + 1) // 2 + y] != c:
+                return True
+        return False
+
     condensed = b % 4 == 0 and b > 4
     c = 0
     for d in range(b):
         for dp in range(d + 1):
             p = (d, dp)
-            row = predecessors_of(p, b)
-            if len(row) != counts[c]:
+            if (dist[c] < 0 or c in fixed) and misses(predecessors_of(p, b), c):
                 return Check("predecessor-inversion", False, f"table wrong at {p}")
-            for x, y in row:
-                if not 0 <= y <= x < b or table[x * (x + 1) // 2 + y] != c:
-                    return Check("predecessor-inversion", False, f"table wrong at {p}")
-            if condensed and condensed_predecessors_of(p, b) != row:
+            if condensed and misses(condensed_predecessors_of(p, b), c):
                 return Check("predecessor-inversion", False, f"condensed rules wrong at {p}")
             c += 1
     # The fixed pairs have distance 0 and every other pair is in the map
     # exactly when its image is, one step further out.  Distances then fall
     # by one along each orbit in the map, so it reaches a fixed pair: these
     # rules hold exactly when the map equals the forward walk.
-    dist = array("l", [-1]) * len(table)
-    for (x, y), s in pdm.steps.items():
-        dist[x * (x + 1) // 2 + y] = s
-    fixed = {_code(p) for p in pdm.fixed}
     for c, t in enumerate(table):
         s = dist[t]
         want = 0 if c in fixed else -1 if s < 0 else s + 1
@@ -250,6 +273,8 @@ def _grid_landings(b: int, n: int, table: array) -> tuple[array, array]:
             cells[c] = _code((p, q))
     path: list[int] = []
     for c in range(len(table)):
+        if steps[c] >= 0:
+            continue
         k = c
         while steps[k] < 0 and len(path) <= budget:
             path.append(k)
@@ -286,13 +311,18 @@ def _grid_checks(b: int, n: int, table: array) -> list[Check]:
             worst[k] = s
     checks.append(_offenders("landing-bounds", "bound exceeded from", over[:4]))
 
-    # arrival table: iterate each grid cell the stated number of steps
+    # arrival table: each grid cell's first return to the grid is one step
+    # onto its image, then the image's landing
     detail = ""
     for p, q in cell_pairs:
         s, cell = grid_arrival(p, q, n)
-        cur = _orbit((p * g, q * g), s, table)[-1]
-        if cur != (cell[0] * g, cell[1] * g):
-            detail = f"cell ({p},{q}) reaches {cur}, table says {cell}"
+        t = table[_code((p * g, q * g))]
+        got, (x, y) = steps[t] + 1, _pair_at(cells[t])
+        if (x, y) != cell:
+            detail = f"cell ({p},{q}) reaches {(x * g, y * g)}, table says {cell}"
+        elif got != s:
+            detail = f"cell ({p},{q}) first returns at step {got}, table says {s}"
+        if detail:
             break
     checks.append(Check("grid-arrival-table", not detail, detail))
 

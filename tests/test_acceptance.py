@@ -237,18 +237,20 @@ def test_criterion_10_landing_bounds():
 def test_criterion_11_arrival_table():
     t0 = time.perf_counter()
     problems = []
+    # each row is the orbit's first return to the grid: the least k >= 1 at
+    # which the pair is g*(cell)
     for n in range(2, 10):
         b = 5 * 2**n
         g = 2**n
         for p in range(5):
             for q in range(p + 1):
-                steps, cell = grid_arrival(p, q, n)
-                cur = (p * g, q * g)
-                for _ in range(steps):
-                    cur = step_pair(cur, b)
-                if cur != (cell[0] * g, cell[1] * g):
-                    problems.append(f"n={n} cell ({p},{q}): reached {cur}, table {cell}")
-    _finish("11", "arrival table reproduced by iteration for n=2..9", 1.0, t0, problems)
+                cur, k = step_pair((p * g, q * g), b), 1
+                while cur[0] % g or cur[1] % g:
+                    cur, k = step_pair(cur, b), k + 1
+                got, want = (k, (cur[0] // g, cur[1] // g)), grid_arrival(p, q, n)
+                if got != want:
+                    problems.append(f"n={n} cell ({p},{q}): first return {got}, table {want}")
+    _finish("11", "arrival table is the first return to the grid for n=2..9", 1.0, t0, problems)
 
 
 def test_criterion_12_total_step_table():

@@ -217,6 +217,9 @@ CASES = {
         (0, "4ff76c7d9bf37019308588b3a272fddc3448629b7c6d5eb3423d80c229594ea6"),
     "verify --bases 40..40 --depth deep --format json --jobs 1":
         (0, "ae52a6bc75fa13ff07a52c92a20a9279e0b5b90a200e8011542f86030b6fea09"),
+    # n = 7, the one n = 3 (mod 4) base whose n >= 5 deep checks run here
+    "verify --bases 640..640 --depth deep --format json --jobs 1":
+        (0, "44840c3eb16ce9066bf7272fc6bbd05263cfcb548a2eb37341bc156007e23240"),
     "trajectory --base 20 --input 160000":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "trajectory --base 10 --digits 1,2,3,10":

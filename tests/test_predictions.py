@@ -200,18 +200,22 @@ def test_grid_arrival_entries():
         grid_arrival(0, 1, 4)
 
 
+def _first_return(p, q, n):
+    """(steps, cell) of the orbit of g*(p, q)'s first return to the grid."""
+    b, g = 5 * 2**n, 2**n
+    cur, k = step_pair((p * g, q * g), b), 1
+    while cur[0] % g or cur[1] % g:
+        cur, k = step_pair(cur, b), k + 1
+    return k, (cur[0] // g, cur[1] // g)
+
+
 def test_grid_arrival_matches_iteration():
-    # every cell row, all four column classes
+    # every cell row, all four column classes: a row is the first return to
+    # the grid, so a row that ends on a self-image pair states one step
     for n in (2, 3, 4, 5):
-        b = 5 * 2**n
-        g = 2**n
         for p in range(5):
             for q in range(p + 1):
-                steps, cell = grid_arrival(p, q, n)
-                cur = (p * g, q * g)
-                for _ in range(steps):
-                    cur = step_pair(cur, b)
-                assert cur == (cell[0] * g, cell[1] * g), (n, p, q)
+                assert grid_arrival(p, q, n) == _first_return(p, q, n), (n, p, q)
 
 
 def test_cell_step_bound_entries():

@@ -5,7 +5,7 @@ import pytest
 
 import kaprekar4.tables as tables
 import kaprekar4.verify as verify_mod
-from kaprekar4.digits import step_value
+from kaprekar4.digits import _step_value
 from kaprekar4.dynamics import PairDistanceMap, pair_distance_map
 from kaprekar4.pairs import (
     _code,
@@ -57,7 +57,9 @@ def test_depth_validation():
         verify_base(10, depth="shallow")
 
 
-@pytest.mark.parametrize("b", [2, 4, 7, 10, 15, 20, 30, 40, 45, 60, 80, 120, 160])
+# 640 (n = 7) is the one base here whose n >= 5 checks read the n = 3 (mod 4)
+# column
+@pytest.mark.parametrize("b", [2, 4, 7, 10, 15, 20, 30, 40, 45, 60, 80, 120, 160, 640])
 def test_deep_bases_all_match(b):
     rep = verify_base(b, depth="deep")
     failing = [c for c in rep.checks if not c.passed]
@@ -206,6 +208,12 @@ def _slip_arrival_grid(monkeypatch):
     monkeypatch.setitem(tables._ARRIVAL_ROWS, (1, 0), (a, c, _with_column(cells, 1, (2, 1))))
 
 
+def _slip_arrival_steps(monkeypatch):
+    # g*(4, 2) steps onto the fixed pair g*(3, 1) and stays there, so only
+    # the first return to the grid tells one step from two
+    monkeypatch.setitem(tables._ARRIVAL_ROWS, (4, 2), (0, 2, ((3, 1),) * 4))
+
+
 def _slip_witness_row(monkeypatch):
     # (9, 1) lands after 2n steps, not 3n
     rows = tuple(
@@ -228,6 +236,11 @@ def _slip_cell_bound_row(monkeypatch):
             _slip_arrival_grid,
             "grid-arrival-table",
             "cell (1,0) reaches (128, 96), table says (2, 1)",
+        ),
+        (
+            _slip_arrival_steps,
+            "grid-arrival-table",
+            "cell (4,2) first returns at step 1, table says 2",
         ),
         (
             _slip_witness_row,
@@ -267,7 +280,7 @@ def test_wrong_step_fails_fixed_numeral_landing(monkeypatch, capsys, at, lands, 
     from kaprekar4.cli import main
     from kaprekar4.dynamics import fixed_numerals
 
-    real = verify_mod.step_value
+    real = verify_mod._step_value
     (v_fixed,) = fixed_numerals(20)
 
     def wrong(x, b):
@@ -275,7 +288,7 @@ def test_wrong_step_fails_fixed_numeral_landing(monkeypatch, capsys, at, lands, 
             return real(x, b)
         return v_fixed if lands else v_fixed + 1
 
-    monkeypatch.setattr(verify_mod, "step_value", wrong)
+    monkeypatch.setattr(verify_mod, "_step_value", wrong)
     rep = verify_base(20, "deep")
     assert [(c.label, c.detail) for c in rep.checks if not c.passed] == [
         ("fixed-numeral-landing", detail)
@@ -306,7 +319,10 @@ def test_missing_fixed_pair_fails_fixed_numerals_exist(monkeypatch):
         (
             10,
             [
-                ("predecessor-inversion", "table wrong at (1, 0)"),
+                # (1, 0) is in base 10's map, so the walk took its row; the
+                # slip shows as a distance that is not one more than that of
+                # its new image, itself
+                ("predecessor-inversion", "distance map wrong at (1, 0)"),
                 ("fixed-pair-unique", "self-fixed pairs {(1, 0), (6, 2), (0, 0)}"),
             ],
         ),
@@ -386,20 +402,26 @@ def _count_calls(monkeypatch, name, real, when=lambda: True):
             calls.append(args)
         return real(*args)
 
+    _patch_every_binding(monkeypatch, name, real, counting)
+    return calls
+
+
+def _patch_every_binding(monkeypatch, name, real, replacement):
+    """Bind ``replacement`` wherever a kaprekar4 module binds ``real`` as ``name``."""
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("kaprekar4") and getattr(mod, name, None) is real:
-            monkeypatch.setattr(mod, name, counting)
-    return calls
+            monkeypatch.setattr(mod, name, replacement)
 
 
 @pytest.mark.parametrize("b", [20, 160, 320])
 def test_deep_verify_call_counts(monkeypatch, b):
-    # one general rule row per reached pair (the BFS), per canonical pair
-    # (predecessor-inversion) and for the fixed pair (fixed-numeral-landing);
-    # one condensed row per canonical pair when 4 | b; one count per reached
-    # pair; and inside fixed-numeral-landing one integer step per numeral on
-    # the fixed pair and on its first-generation predecessors: the fixed
-    # numeral it is handed comes from the report, not from stepping again
+    # one general rule row per reached pair (the BFS), per pair absent from
+    # the map and for the fixed pair (predecessor-inversion), and for the
+    # fixed pair again (fixed-numeral-landing): pairs + 2 in all; one
+    # condensed row per canonical pair when 4 | b; one count per reached
+    # pair; and inside fixed-numeral-landing one unchecked integer step per
+    # numeral on the fixed pair and on its first-generation predecessors: the
+    # fixed numeral it is handed comes from the report, not from stepping again
     pdm = pair_distance_map(b)
     reached = len(pdm.steps)
     pairs = b * (b + 1) // 2
@@ -421,14 +443,14 @@ def test_deep_verify_call_counts(monkeypatch, b):
     rows = _count_calls(monkeypatch, "predecessors_of", predecessors_of)
     condensed = _count_calls(monkeypatch, "condensed_predecessors_of", condensed_predecessors_of)
     counts = _count_calls(monkeypatch, "pair_count", pair_count)
-    steps = _count_calls(monkeypatch, "step_value", step_value, when=lambda: bool(inside))
+    steps = _count_calls(monkeypatch, "_step_value", _step_value, when=lambda: bool(inside))
     assert verify_base(b, "deep").all_match
-    assert len(rows) == reached + pairs + 1
+    assert len(rows) == pairs + 2
     assert len(condensed) == (pairs if b % 4 == 0 else 0)
     assert len(counts) == reached
     assert len(steps) == landing_steps
     if b == 320:
-        assert (len(rows), len(counts), len(steps)) == (89962, 38601, 41408)
+        assert (len(rows), len(counts), len(steps)) == (51362, 38601, 41408)
 
 
 @pytest.mark.parametrize("b", [20, 320])
@@ -471,6 +493,15 @@ def test_pair_numerals_match_a_digit_scan(b, spreads, pairs):
         assert set(got) == by_pair[p], p
 
 
+@pytest.mark.parametrize("pair", [(3, 5), (20, 0), (5, -1)])
+def test_pair_numerals_reject_a_pair_that_is_not_canonical(pair):
+    # the landing check steps these numerals unchecked, so every one must be
+    # a numeral of the base
+    with pytest.raises(ValueError) as exc:
+        list(verify_mod._pair_numerals(pair, 20))
+    assert str(exc.value) == f"{pair} is not canonical for base 20"
+
+
 def _on_cycle_by_seen_set(code, table):
     # the first code the orbit repeats is where it enters its loop, so that
     # code is ``code`` itself exactly when ``code`` lies on the loop
@@ -505,14 +536,20 @@ def _swap_in_a_non_canonical(row, at, b):
     return row - {min(row)} | {(b, 0)}
 
 
+def _drop_itself(row, at, b):
+    return row - {at}
+
+
 def _corrupt_one_row(monkeypatch, name, at, mutate):
+    """Corrupt the rule row of ``at`` at every kaprekar4 binding of ``name``,
+    so the walk and the checks read the same rows."""
     real = getattr(verify_mod, name)
 
     def corrupted(pair, b):
         out = real(pair, b)
         return mutate(out, at, b) if pair == at else out
 
-    monkeypatch.setattr(verify_mod, name, corrupted)
+    _patch_every_binding(monkeypatch, name, real, corrupted)
 
 
 @pytest.mark.parametrize(
@@ -521,7 +558,9 @@ def _corrupt_one_row(monkeypatch, name, at, mutate):
 @pytest.mark.parametrize(
     "name, b, start, detail",
     [
-        ("predecessors_of", 20, (7, 3), "table wrong at "),
+        # (12, 8) steps onto (5, 3), which base 20's map does not reach, so
+        # the walk never takes its row
+        ("predecessors_of", 20, (12, 8), "table wrong at "),
         ("condensed_predecessors_of", 40, (13, 6), "condensed rules wrong at "),
     ],
 )
@@ -531,6 +570,7 @@ def test_wrong_preimage_fails_predecessor_inversion(
     from kaprekar4.cli import main
 
     at = step_pair(start, b)  # its preimage holds at least ``start``
+    assert name != "predecessors_of" or at not in pair_distance_map(b).steps
     _corrupt_one_row(monkeypatch, name, at, mutate)
     rep = verify_base(b, "deep")
     (check,) = [c for c in rep.checks if c.label == "predecessor-inversion"]
@@ -538,6 +578,52 @@ def test_wrong_preimage_fails_predecessor_inversion(
     assert check.detail == f"{detail}{at}"
     assert main(["verify", "--bases", f"{b}..{b}", "--depth", "deep", "--jobs", "1"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "mutate, detail",
+    [
+        # (7, 3), the dropped member, is left out of the map while its image
+        # (14, 6) is in it
+        (_drop_one_candidate, "distance map wrong at (7, 3)"),
+        (_swap_in_a_stranger, "predecessor (0, 0) of (14, 6) misses it in base 20"),
+        (_swap_in_a_non_canonical, "predecessor (20, 0) of (14, 6) misses it in base 20"),
+    ],
+)
+def test_wrong_reached_row_fails_the_map_or_the_walk(monkeypatch, capsys, mutate, detail):
+    # the walk takes the row of (14, 6) in base 20: its guard raises on a
+    # member that misses the pair (exit 4), and a member it never sees
+    # leaves a hole in the map that predecessor-inversion reports (exit 1)
+    from kaprekar4.cli import main
+
+    at = (14, 6)
+    assert at in pair_distance_map(20).steps
+    _corrupt_one_row(monkeypatch, "predecessors_of", at, mutate)
+    argv = ["verify", "--bases", "20..20", "--depth", "deep", "--jobs", "1"]
+    if mutate is _drop_one_candidate:
+        rep = verify_base(20, "deep")
+        assert [(c.label, c.detail) for c in rep.checks if not c.passed] == [
+            ("predecessor-inversion", detail)
+        ]
+        assert main(argv) == 1
+    else:
+        with pytest.raises(RuntimeError) as exc:
+            verify_base(20, "deep")
+        assert str(exc.value) == detail
+        assert main(argv) == 4
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("b, fixed", [(20, (12, 4)), (320, (192, 64))])
+def test_fixed_row_without_itself_fails_predecessor_inversion(monkeypatch, b, fixed):
+    # the walk seeds the fixed pair, so only the check's own derivation of
+    # the fixed row can see that the row lost its self-loop
+    assert pair_distance_map(b).fixed == (fixed,)
+    _corrupt_one_row(monkeypatch, "predecessors_of", fixed, _drop_itself)
+    rep = verify_base(b, "deep")
+    assert [(c.label, c.detail) for c in rep.checks if not c.passed] == [
+        ("predecessor-inversion", f"table wrong at {fixed}")
+    ]
 
 
 @pytest.mark.parametrize("b", [61, 62, 63, 64, 66, 127, 128])
