@@ -295,12 +295,24 @@ MUTANTS = [
     {
         "name": "inversion-skips-unreached-rows",
         "file": "kaprekar4/verify.py",
-        "old": "if (dist[c] < 0 or c in fixed) and misses(",
-        "new": "if c in fixed and misses(",
+        "old": "if dist[c] == 255 or c in fixed:",
+        "new": "if c in fixed:",
         "tests": [
             "tests/test_verify.py::test_wrong_preimage_fails_predecessor_inversion["
             f"predecessors_of-20-start0-table wrong at -{m}]"
             for m in ("_drop_one_candidate", "_swap_in_a_stranger", "_swap_in_a_non_canonical")
+        ],
+    },
+    # predecessor-inversion reads the 255 "not in the map" byte as a
+    # distance, so an unreached pair wants its unreached image's 255 + 1
+    {
+        "name": "inversion-reads-the-sentinel-as-a-distance",
+        "file": "kaprekar4/verify.py",
+        "old": "want = 0 if c in fixed else 255 if s == 255 else s + 1",
+        "new": "want = 0 if c in fixed else s + 1",
+        "tests": [
+            "tests/test_verify.py::test_deep_bases_all_match[20]",
+            "tests/test_verify.py::test_rule_rows_at_bases_verify_skips[61]",
         ],
     },
     # an A-type rule row with a matching parity drops its (b+d)/2, (b+dp)/2
@@ -340,4 +352,21 @@ MUTANTS = [
             "test_predictors_reject_what_check_base_rejects[2.0-predict_max_distance]",
         ],
     },
+]
+
+# the digit step's five-comparator sorting network, less one compare-exchange
+# at a time; without any one of them some orders of four digits sort wrong
+MUTANTS += [
+    {
+        "name": f"step-network-drops-{lo}-{hi}",
+        "file": "kaprekar4/digits.py",
+        "old": f"    if {lo} > {hi}:\n        {lo}, {hi} = {hi}, {lo}\n",
+        "new": "",
+        "tests": [
+            "tests/test_digits.py::test_step_matches_numpy_sort_on_whole_domain[10]",
+            "tests/test_digits.py::test_step_matches_numpy_sort_on_whole_domain[16]",
+            "tests/test_digits.py::test_step_matches_sorted_reference_on_samples[17]",
+        ],
+    }
+    for lo, hi in [("a0", "a1"), ("a2", "a3"), ("a0", "a2"), ("a1", "a3"), ("a1", "a2")]
 ]

@@ -3,7 +3,9 @@
 A numeral keeps its leading zeros: 0309 and 3090 are different inputs even
 though they share a digit multiset.  The step sorts the digits, writes them
 descending and ascending, and subtracts the ascending arrangement from the
-descending one.
+descending one.  Its kernel sorts the four digits with a five-comparator
+sorting network, not ``sorted``; every integer step in the package, the
+oracle's numpy table aside, goes through it.
 """
 
 from __future__ import annotations
@@ -83,9 +85,28 @@ def step_value(x: int, b: int) -> int:
 
 def _step_value(x: int, b: int) -> int:
     """:func:`step_value`'s arithmetic, unchecked: the caller has checked b
-    and 0 <= x < b^4."""
-    x, a0 = divmod(x, b)
-    x, a1 = divmod(x, b)
-    a3, a2 = divmod(x, b)
-    s0, s1, s2, s3 = sorted((a3, a2, a1, a0))
-    return (((s3 - s0) * b + (s2 - s1)) * b + (s1 - s2)) * b + (s0 - s3)
+    and 0 <= x < b^4.
+
+    The digits are sorted in place by the five-comparator network for four
+    inputs: (a0, a1) and (a2, a3) sort each half, (a0, a2) and (a1, a3) put
+    the least digit in a0 and the greatest in a3, and (a1, a2) orders the
+    middle two.  With ``%`` and ``//`` for the digits, this takes fewer
+    interpreter steps than three ``divmod`` calls and ``sorted``.
+    """
+    a0 = x % b
+    x //= b
+    a1 = x % b
+    x //= b
+    a2 = x % b
+    a3 = x // b
+    if a0 > a1:
+        a0, a1 = a1, a0
+    if a2 > a3:
+        a2, a3 = a3, a2
+    if a0 > a2:
+        a0, a2 = a2, a0
+    if a1 > a3:
+        a1, a3 = a3, a1
+    if a1 > a2:
+        a1, a2 = a2, a1
+    return (((a3 - a0) * b + (a2 - a1)) * b + (a1 - a2)) * b + (a0 - a3)

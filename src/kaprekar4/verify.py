@@ -7,9 +7,10 @@ commands read one verdict rule.  Depth "deep" also exercises the
 structural claims behind them (predecessor tables, basin structure, grid
 landing bounds, the literal data tables, and integer-level cycle entries).
 Mismatches, a rule row missing a candidate among them, are reported as data
-(exit 1).  Two faults raise (exit 4): a rule candidate that misses its
-target, in :func:`pair_distance_map`'s guard, and a pair past the 2n + 8
-landing budget, in ``_grid_landings``.
+(exit 1).  Three faults raise (exit 4): a rule candidate that misses its
+target, in :func:`pair_distance_map`'s guard; a pair past the 2n + 8
+landing budget, in ``_grid_landings``; and a map level of 254 or more, in
+the inversion check.
 
 The deep checks of one base share two results: the distance map, which also
 gives the measured numbers, and the step table of :mod:`pairs`.  Every base
@@ -23,6 +24,13 @@ member missing from one of them shows as a hole in the map.  The inversion
 check derives the general rows of the pairs the walk does not reach and of
 the fixed pairs, and every condensed row, and checks each against the table
 by count and image.
+
+The per-code vectors of the inversion check (preimage counts, distances)
+and of the landing memo (steps, cells) are ``bytearray``s, one byte per
+pair.  Distances and landing steps hold 255 for "not in the map" and "not
+yet landed".  Each vector has its guard: a 256th pair onto one code fails
+the inversion check at that code, a map level whose next level would reach
+255 raises, and the landing budget is at most 34 steps.
 """
 
 from __future__ import annotations
@@ -170,12 +178,25 @@ def _check_predecessor_inversion(b: int, table: array, pdm: PairDistanceMap) -> 
     a row missed a true preimage q, then q is absent from the map while its
     image is in it, and the distance comparison below fails at q.  The one
     member the walk cannot see is a fixed pair in its own row, because the
-    walk seeds that pair; so the fixed rows are derived again.
+    walk seeds that pair; so the fixed rows are derived again.  An empty
+    row of a pair with no preimage is skipped: its comparison could only
+    pass.
+
+    A rule row has a handful of members, so a table that sends 256 or more
+    pairs onto one code fails at that code.  A map whose next level would
+    reach the 255 of "not in the map" raises ``RuntimeError``; no real map
+    comes near, as the largest distance of any base is 61.
     """
-    counts = array("l", [0]) * len(table)
-    for t in table:
-        counts[t] += 1
-    dist = array("l", [-1]) * len(table)
+    counts = bytearray(len(table))
+    try:
+        for t in table:
+            counts[t] += 1
+    except ValueError:  # a 256th pair onto t: no rule row is that long
+        return Check("predecessor-inversion", False, f"table wrong at {_pair_at(t)}")
+    top = max(pdm.steps.values(), default=0)
+    if top >= 254:
+        raise RuntimeError(f"distance {top} leaves no byte below the 255 sentinel in base {b}")
+    dist = bytearray(b"\xff") * len(table)
     for (x, y), s in pdm.steps.items():
         dist[x * (x + 1) // 2 + y] = s
     fixed = {_code(p) for p in pdm.fixed}
@@ -193,10 +214,14 @@ def _check_predecessor_inversion(b: int, table: array, pdm: PairDistanceMap) -> 
     for d in range(b):
         for dp in range(d + 1):
             p = (d, dp)
-            if (dist[c] < 0 or c in fixed) and misses(predecessors_of(p, b), c):
-                return Check("predecessor-inversion", False, f"table wrong at {p}")
-            if condensed and misses(condensed_predecessors_of(p, b), c):
-                return Check("predecessor-inversion", False, f"condensed rules wrong at {p}")
+            if dist[c] == 255 or c in fixed:
+                row = predecessors_of(p, b)
+                if (row or counts[c]) and misses(row, c):
+                    return Check("predecessor-inversion", False, f"table wrong at {p}")
+            if condensed:
+                row = condensed_predecessors_of(p, b)
+                if (row or counts[c]) and misses(row, c):
+                    return Check("predecessor-inversion", False, f"condensed rules wrong at {p}")
             c += 1
     # The fixed pairs have distance 0 and every other pair is in the map
     # exactly when its image is, one step further out.  Distances then fall
@@ -204,7 +229,7 @@ def _check_predecessor_inversion(b: int, table: array, pdm: PairDistanceMap) -> 
     # rules hold exactly when the map equals the forward walk.
     for c, t in enumerate(table):
         s = dist[t]
-        want = 0 if c in fixed else -1 if s < 0 else s + 1
+        want = 0 if c in fixed else 255 if s == 255 else s + 1
         if dist[c] != want:
             return Check("predecessor-inversion", False, f"distance map wrong at {_pair_at(c)}")
     return Check("predecessor-inversion", True)
@@ -255,17 +280,19 @@ def _orbit(pair: Pair, steps: int, table: array) -> list[Pair]:
     return [_pair_at(c) for c in codes]
 
 
-def _grid_landings(b: int, n: int, table: array) -> tuple[array, array]:
+def _grid_landings(b: int, n: int, table: array) -> tuple[bytearray, bytearray]:
     """The grid landing of every pair code, memoised along the step table.
 
     Returns the steps to the first grid pair and that grid pair's cell code,
-    each indexed by pair code.  A pair whose landing exceeds a budget of
-    2n + 8 steps raises ``RuntimeError``, as ``predictions.grid_landing`` does.
+    each indexed by pair code, as bytes.  A pair whose landing exceeds a
+    budget of 2n + 8 steps raises ``RuntimeError``, as
+    ``predictions.grid_landing`` does.  The budget is at most 34 (n <= 13),
+    so a landing never reaches 255, which marks a pair not yet landed.
     """
     g = b // 5
     budget = 2 * n + 8
-    steps = array("l", [-1]) * len(table)
-    cells = array("l", [0]) * len(table)
+    steps = bytearray(b"\xff") * len(table)
+    cells = bytearray(len(table))
     for p in range(5):
         for q in range(p + 1):
             c = _code((p * g, q * g))
@@ -273,14 +300,14 @@ def _grid_landings(b: int, n: int, table: array) -> tuple[array, array]:
             cells[c] = _code((p, q))
     path: list[int] = []
     for c in range(len(table)):
-        if steps[c] >= 0:
+        if steps[c] != 255:
             continue
         k = c
-        while steps[k] < 0 and len(path) <= budget:
+        while steps[k] == 255 and len(path) <= budget:
             path.append(k)
             k = table[k]
         s, cell = steps[k], cells[k]
-        if s < 0 or s + len(path) > budget:
+        if s == 255 or s + len(path) > budget:
             raise RuntimeError(
                 f"pair {_pair_at(c)} found no grid pair within {budget} steps in base {b}"
             )

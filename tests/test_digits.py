@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from kaprekar4.digits import (
     to_digits,
 )
 from kaprekar4.enumeration import _step
-from oracles import oracle_digits, oracle_step
+from oracles import oracle_digits, oracle_step, oracle_value
 
 bases = st.integers(2, 300)
 
@@ -82,6 +84,20 @@ def test_step_matches_numpy_sort_on_whole_domain(b):
     # sorts the digits with numpy and subtracts the two whole numerals
     want = _step(np.arange(b**4, dtype=np.int64), b).tolist()
     assert [step_value(x, b) for x in range(b**4)] == want
+
+
+@pytest.mark.parametrize("b", [17, 255, 256, 257, 40960, 65535, 65536])
+def test_step_matches_sorted_reference_on_samples(b):
+    # above the whole-domain range: around a one-byte digit, at b = 5 * 2^13
+    # and at the top of the declared range.  Half the numerals draw each
+    # digit anywhere, so every order of four distinct digits occurs; half
+    # draw from {0, 1, b/2, b-1}, so the sorting network meets ties
+    rng = random.Random(b)
+    pool = (0, 1, b // 2, b - 1)
+    quads = [tuple(rng.randrange(b) for _ in range(4)) for _ in range(1000)]
+    quads += [tuple(rng.choice(pool) for _ in range(4)) for _ in range(1000)]
+    xs = [oracle_value(q, b) for q in quads]
+    assert [step_value(x, b) for x in xs] == [oracle_step(x, b) for x in xs]
 
 
 @given(base_and_value())

@@ -1,4 +1,5 @@
 import sys
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -146,6 +147,49 @@ def test_wrong_distance_map_fails_predecessor_inversion(monkeypatch, capsys, cor
         assert check.detail.startswith("distance map wrong at "), b
         assert not rep.all_match, b
         assert main(["verify", "--bases", f"{b}..{b}", "--depth", "deep", "--jobs", "1"]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("level, raises", [(253, False), (254, True), (255, True), (300, True)])
+def test_map_level_near_the_sentinel(monkeypatch, capsys, level, raises):
+    # predecessor-inversion holds distances in bytes with 255 for "not in
+    # the map", so the deepest level must leave the next one below 255: a
+    # level of 254 or more raises (exit 4), and 253 is still judged as data
+    from kaprekar4.cli import main
+
+    _break_distance_map(monkeypatch, lambda steps: steps.__setitem__((7, 3), level))
+    argv = ["verify", "--bases", "20..20", "--depth", "deep", "--jobs", "1"]
+    if raises:
+        with pytest.raises(RuntimeError) as exc:
+            verify_base(20, "deep")
+        assert str(exc.value) == (
+            f"distance {level} leaves no byte below the 255 sentinel in base 20"
+        )
+        assert main(argv) == 4
+    else:
+        rep = verify_base(20, "deep")
+        assert [(c.label, c.detail) for c in rep.checks if not c.passed] == [
+            ("predecessor-inversion", "distance map wrong at (7, 3)")
+        ]
+        assert main(argv) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("b, fixed", [(30, (18, 6)), (40, (24, 8))])
+def test_crowded_step_table_fails_predecessor_inversion(monkeypatch, capsys, b, fixed):
+    # a table that sends every pair onto the fixed pair overflows that
+    # code's byte count; no rule row has 256 members, so the check fails
+    # there as data (exit 1) and does not crash
+    from kaprekar4.cli import main
+
+    fixed_code = _code(fixed)
+    monkeypatch.setattr(
+        verify_mod, "_step_table", lambda b: array("l", [fixed_code]) * (b * (b + 1) // 2)
+    )
+    rep = verify_base(b, "deep")
+    assert _check(rep, "predecessor-inversion").detail == f"table wrong at {fixed}"
+    assert not rep.all_match
+    assert main(["verify", "--bases", f"{b}..{b}", "--depth", "deep", "--jobs", "1"]) == 1
     capsys.readouterr()
 
 
