@@ -295,8 +295,8 @@ MUTANTS = [
     {
         "name": "inversion-skips-unreached-rows",
         "file": "kaprekar4/verify.py",
-        "old": "if dist[c] == 255 or c in fixed:",
-        "new": "if c in fixed:",
+        "old": "derive = bytearray(dist)",
+        "new": "derive = bytearray(len(dist))",
         "tests": [
             "tests/test_verify.py::test_wrong_preimage_fails_predecessor_inversion["
             f"predecessors_of-20-start0-table wrong at -{m}]"
@@ -304,12 +304,13 @@ MUTANTS = [
         ],
     },
     # predecessor-inversion reads the 255 "not in the map" byte as a
-    # distance, so an unreached pair wants its unreached image's 255 + 1
+    # distance, so an unreached pair wants its unreached image's 255 + 1,
+    # which wraps to 0
     {
         "name": "inversion-reads-the-sentinel-as-a-distance",
         "file": "kaprekar4/verify.py",
-        "old": "want = 0 if c in fixed else 255 if s == 255 else s + 1",
-        "new": "want = 0 if c in fixed else s + 1",
+        "old": '_NEXT_LEVEL = bytes(range(1, 256)) + b"\\xff"',
+        "new": '_NEXT_LEVEL = bytes(range(1, 256)) + b"\\x00"',
         "tests": [
             "tests/test_verify.py::test_deep_bases_all_match[20]",
             "tests/test_verify.py::test_rule_rows_at_bases_verify_skips[61]",
@@ -369,4 +370,75 @@ MUTANTS += [
         ],
     }
     for lo, hi in [("a0", "a1"), ("a2", "a3"), ("a0", "a2"), ("a1", "a3"), ("a1", "a2")]
+]
+
+# the step table's row kernel: each of its three patches, and the A formula
+_TABLE_TESTS = [
+    "tests/test_pairs.py::test_step_table_matches_step_pair[2..130]",
+    "tests/test_verify.py::test_deep_bases_all_match[20]",
+]
+MUTANTS += [
+    # the C image of (d, 0) taken as (d, b - d)
+    {
+        "name": "table-c-patch-wrong",
+        "file": "kaprekar4/pairs.py",
+        "old": "row[0] = _code(_canon(d - 1, b - d))",
+        "new": "row[0] = _code(_canon(d, b - d))",
+        "tests": _TABLE_TESTS,
+    },
+    # (d, b - d) keeps its A-type image
+    {
+        "name": "table-drops-the-b-minus-d-patch",
+        "file": "kaprekar4/pairs.py",
+        "old": "        if b - d < d:\n            row[b - d] = row[d]\n",
+        "new": "",
+        "tests": _TABLE_TESTS,
+    },
+    # the A-type inner image from |2dp - b + 1|
+    {
+        "name": "table-a-type-y-off-by-one",
+        "file": "kaprekar4/pairs.py",
+        "old": "ys = [abs(2 * dp - b) for dp in range(b)]",
+        "new": "ys = [abs(2 * dp - b + 1) for dp in range(b)]",
+        "tests": _TABLE_TESTS,
+    },
+]
+
+# the condensed rules, listed by family, and the check of the codes between
+# the rows they list
+MUTANTS += [
+    # no (d, b-1-d) <- (d+1, 0), (b-d, 0) rows
+    {
+        "name": "condensed-drops-the-b-minus-1-minus-d-family",
+        "file": "kaprekar4/pairs.py",
+        "old": "rows.insert(0 if d % 2 else (e + 1) // 2, ((d, e), {(d + 1, 0), (b - d, 0)}))",
+        "new": "pass",
+        "tests": [
+            "tests/test_pairs.py::test_condensed_rows_are_the_scanned_rows[8]",
+            "tests/test_verify.py::test_deep_bases_all_match[20]",
+        ],
+    },
+    # (2i, 2j) <- (h + j, h + i), a pair that is not canonical
+    {
+        "name": "condensed-coordinate-swap",
+        "file": "kaprekar4/pairs.py",
+        "old": "{(up, h + j), (up, h - j), (h + j, dn), (h - j, dn)}",
+        "new": "{(h + j, up), (up, h - j), (h + j, dn), (h - j, dn)}",
+        "tests": [
+            "tests/test_pairs.py::test_condensed_rows_are_the_scanned_rows[8]",
+            "tests/test_verify.py::test_deep_bases_all_match[20]",
+        ],
+    },
+    # the codes the list skips are checked from one code late, so leaving
+    # out the row of (0, 0) goes unseen
+    {
+        "name": "condensed-gap-check-one-code-late",
+        "file": "kaprekar4/verify.py",
+        "old": "if seen != counts:",
+        "new": "if seen[1:] != counts[1:]:",
+        "tests": [
+            "tests/test_verify.py::test_misplaced_condensed_row_fails_predecessor_inversion["
+            "_skip-at2]",
+        ],
+    },
 ]

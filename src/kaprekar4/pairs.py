@@ -8,8 +8,11 @@ b^4 integer states to b*(b+1)/2 canonical pairs.
 
 Pair ``(d, dp)`` has the code ``d(d+1)/2 + dp``, its index when the pairs
 are listed outer-major: d ascending, then dp from 0 to d.  The step table of
-a base maps codes to codes.
-The predecessor rules build each row directly as a set of canonical pairs.
+a base maps codes to codes; it is built one row of codes at a time, from
+the A-type formula with the other types' entries patched in.
+The general predecessor rules build each row directly as a set of canonical
+pairs; the condensed rules list their non-empty rows, family by family, in
+code order.
 The fixed pair (3b/5, b/5) lives only in :mod:`.dynamics`, as a walk start.
 """
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 from array import array
 from enum import Enum
 from math import isqrt
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 from .digits import Digits, check_base
 
@@ -83,13 +86,27 @@ def _pair_at(code: int) -> Pair:
 
 
 def _step_table(b: int) -> array:
-    """Entry ``c`` is the code of the image of the pair with code ``c``."""
+    """Entry ``c`` is the code of the image of the pair with code ``c``.
+
+    Built a row at a time: with x = |2d - b|, every entry of row d first
+    takes the A-type image (x, |2dp - b|), and then the entries the A
+    formula does not govern are patched: dp = 0 takes the C image
+    (d - 1, b - d), and dp = d and dp = b - d take the B image, which
+    depends on d alone: (|2d - b + 1|, |2d - b - 1|) is (x + 1, |x - 1|).
+    """
     check_base(b)
-    table = array("l")
-    for d in range(b):
-        for dp in range(d + 1):
-            x, y = step_pair((d, dp), b)
-            table.append(x * (x + 1) // 2 + y)
+    tri = [k * (k + 1) // 2 for k in range(b + 1)]
+    ys = [abs(2 * dp - b) for dp in range(b)]
+    table = array("I", [0])  # (0, 0) is its own image
+    for d in range(1, b):
+        x = abs(2 * d - b)
+        tx = tri[x]
+        row = [tx + y if x >= y else tri[y] + x for y in ys[: d + 1]]
+        row[0] = _code(_canon(d - 1, b - d))
+        row[d] = tri[x + 1] + abs(x - 1)
+        if b - d < d:
+            row[b - d] = row[d]
+        table.fromlist(row)
     return table
 
 
@@ -116,10 +133,13 @@ def _not_canonical(d: int, dp: int, b: int) -> NoReturn:
 # not here.  The guard step in the BFS of ``dynamics.pair_distance_map``
 # checks the general row of every pair the walk reaches.  Verify's
 # predecessor-inversion check derives the general rows of the other pairs
-# and of the fixed pairs, and every condensed row, and holds each to the
-# step table by count and image.
+# and of the fixed pairs, holds the listed condensed rows to the step table
+# by count and image, and requires every pair between them to have no
+# preimage.
 #
-# Both rule sets branch in :func:`step_pair`'s order and emit each row
+# The general rules branch per pair in :func:`step_pair`'s order.  The
+# condensed rules do not branch per pair: each family is a range of pairs,
+# and every pair outside the families has an empty row.  Both emit each row
 # already canonical.  With d >= dp the four A-type sign candidates come out
 # ordered: (b+d)/2 >= (b+dp)/2 >= (b-dp)/2 >= (b-d)/2, and likewise
 # h+i >= h+j >= h-j >= h-i in the condensed rules.
@@ -175,34 +195,39 @@ def predecessors_of(pair: Pair, b: int) -> set[Pair]:
     return out
 
 
-def condensed_predecessors_of(pair: Pair, b: int) -> set[Pair]:
-    """Preimage via the condensed rules available when 4 | b and b > 4.
+def condensed_rows(b: int) -> Iterator[tuple[Pair, set[Pair]]]:
+    """Every non-empty row of the condensed rules for 4 | b and b > 4, as
+    ``(pair, row)`` in code order; every pair not yielded has an empty row.
 
-    Kept separate from :func:`predecessors_of` so the condensed rule set is
-    itself verified rather than derived from the general one.
+    With h = b/2 the families are (0, 0) <- (0, 0); (1, 1) <- (h, h);
+    (b-1, 0) <- (1, 0); (2i, 2j) <- (h +/- i, h +/- j) for j < i;
+    (2i+1, 2i-1) <- (h +/- i, h +/- i); and (d, b-1-d) <- (d+1, 0), (b-d, 0)
+    for h <= d < b-1.  Kept separate from :func:`predecessors_of` so the
+    condensed rule set is itself verified rather than derived from the
+    general one.
     """
     if b % 4 != 0 or b <= 4:
         raise ValueError(f"condensed predecessor rules need 4 | b and b > 4, got {b}")
-    d, dp = pair
-    if not 0 <= dp <= d < b:
-        _not_canonical(d, dp, b)
-    if d == 0:
-        return {(0, 0)}
-    if dp == 0 and d == b - 1:
-        return {(1, 0)}
     h = b // 2
-    if d == dp:
-        return {(h, h)} if d == 1 else set()
-
-    if d % 2 == 0 and dp % 2 == 0:  # (2i, 2j) <- (h +/- i, h +/- j)
-        i, j = d // 2, dp // 2
-        return {(h + i, h + j), (h + i, h - j), (h + j, h - i), (h - j, h - i)}
-    if d % 2 == 1 and dp == d - 2:  # (2k+1, 2k-1) <- (h +/- k, h +/- k)
-        k = (d - 1) // 2
-        return {(h + k, h + k), (h + k, h - k), (h - k, h - k)}
-    if d + dp == b - 1:
-        return {(d + 1, 0), (dp + 1, 0)}
-    return set()
+    yield (0, 0), {(0, 0)}
+    yield (1, 1), {(h, h)}
+    for d in range(2, b):
+        i, e = d // 2, b - 1 - d
+        up, dn = h + i, h - i
+        if d % 2:  # (2i+1, 2i-1) <- (h +/- i, h +/- i)
+            rows = [((d, d - 2), {(up, up), (up, dn), (dn, dn)})]
+        else:  # (2i, 2j) <- (h +/- i, h +/- j), j < i
+            rows = [
+                ((d, 2 * j), {(up, h + j), (up, h - j), (h + j, dn), (h - j, dn)})
+                for j in range(i)
+            ]
+        # (d, e), e < d, is listed before the rows of a larger dp: the
+        # (d, 2j) with 2j > e, or for an odd d its one row, since e < d - 2
+        if e == 0:  # (b-1, 0) <- (1, 0)
+            rows.insert(0, ((d, 0), {(1, 0)}))
+        elif e < d:  # (d, b-1-d) <- (d+1, 0), (b-d, 0)
+            rows.insert(0 if d % 2 else (e + 1) // 2, ((d, e), {(d + 1, 0), (b - d, 0)}))
+        yield from rows
 
 
 # ---------------------------------------------------------------------------

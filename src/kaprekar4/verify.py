@@ -22,8 +22,10 @@ and read every grid landing, the witnesses' too, from one memo over it.
 The walk's guard checks each member of the general rows it takes, and a
 member missing from one of them shows as a hole in the map.  The inversion
 check derives the general rows of the pairs the walk does not reach and of
-the fixed pairs, and every condensed row, and checks each against the table
-by count and image.
+the fixed pairs, and checks each against the table by count and image.  It
+holds the non-empty condensed rows, listed in code order, to the table the
+same way, and every code between them to a count of 0.  It compares the
+map with the forward walk in one pass over the distance bytes.
 
 The per-code vectors of the inversion check (preimage counts, distances)
 and of the landing memo (steps, cells) are ``bytearray``s, one byte per
@@ -58,7 +60,7 @@ from .pairs import (
     _pair_at,
     _step_table,
     classify_pair,
-    condensed_predecessors_of,
+    condensed_rows,
     predecessors_of,
 )
 from .predictions import (
@@ -165,22 +167,30 @@ def _check_fixed_numeral_landing(b: int, target: Pair, v_fixed: int) -> Check:
     return Check("fixed-numeral-landing", True)
 
 
+# a distance byte's level one step further out; 255, "not in the map", stays
+_NEXT_LEVEL = bytes(range(1, 256)) + b"\xff"
+
+
 def _check_predecessor_inversion(b: int, table: array, pdm: PairDistanceMap) -> Check:
     """The predecessor tables equal a scan of the forward step, and the
     reverse-BFS distance map equals the forward walk.
 
     A rule row is a set and each pair has one image, so the row equals the
     preimage of code c exactly when it has counts[c] members, each of them
-    canonical and stepping onto c.  Every condensed row is held to that.
+    canonical and stepping onto c; an empty row, exactly when counts[c] is
+    0.  ``condensed_rows`` lists the non-empty condensed rows, each held to
+    that, and every code it skips must have a count of 0.  As a row listed
+    out of code order (or twice) fails, that is the per-pair check of every
+    condensed row, the empty ones included.
     A general row is derived here only for a pair absent from the map, and
     for each fixed pair.  The walk took every other pair's row, and its
     guard checked each member: canonical, stepping onto the pair.  If such
     a row missed a true preimage q, then q is absent from the map while its
     image is in it, and the distance comparison below fails at q.  The one
     member the walk cannot see is a fixed pair in its own row, because the
-    walk seeds that pair; so the fixed rows are derived again.  An empty
-    row of a pair with no preimage is skipped: its comparison could only
-    pass.
+    walk seeds that pair; so the fixed rows are derived again.  A failure
+    names the first failing pair in code order, the general rules before
+    the condensed ones at the same pair.
 
     A rule row has a handful of members, so a table that sends 256 or more
     pairs onto one code fails at that code.  A map whose next level would
@@ -209,29 +219,51 @@ def _check_predecessor_inversion(b: int, table: array, pdm: PairDistanceMap) -> 
                 return True
         return False
 
-    condensed = b % 4 == 0 and b > 4
-    c = 0
+    # the first failing code of the general rows, derived where ``derive``
+    # holds 255: the pairs absent from the map, and the fixed pairs
+    derive = bytearray(dist)
+    for c in fixed:
+        derive[c] = 255
+    general = None
     for d in range(b):
-        for dp in range(d + 1):
-            p = (d, dp)
-            if dist[c] == 255 or c in fixed:
-                row = predecessors_of(p, b)
-                if (row or counts[c]) and misses(row, c):
-                    return Check("predecessor-inversion", False, f"table wrong at {p}")
-            if condensed:
-                row = condensed_predecessors_of(p, b)
-                if (row or counts[c]) and misses(row, c):
-                    return Check("predecessor-inversion", False, f"condensed rules wrong at {p}")
-            c += 1
+        start, end = d * (d + 1) // 2, (d + 1) * (d + 2) // 2
+        c = derive.find(255, start, end)
+        while c != -1 and not misses(predecessors_of((d, c - start), b), c):
+            c = derive.find(255, c + 1, end)
+        if c != -1:
+            general = c
+            break
+    # the first failing (code, pair) of the condensed rows: a listed pair
+    # that is not canonical or out of code order, a wrong listed row, or an
+    # unlisted code with a preimage (``seen`` copies the listed counts)
+    condensed = None
+    if b % 4 == 0 and b > 4:
+        seen, lo = bytearray(len(table)), 0
+        for p, row in condensed_rows(b):
+            x, y = p
+            c = x * (x + 1) // 2 + y
+            if not 0 <= y <= x < b or c < lo or misses(row, c):
+                condensed = c, p
+                break
+            seen[c], lo = counts[c], c + 1
+        if seen != counts:
+            c = next(k for k, (s, t) in enumerate(zip(seen, counts)) if s != t)
+            if not condensed or c < condensed[0]:
+                condensed = c, _pair_at(c)
+    if general is not None and not (condensed and condensed[0] < general):
+        return Check("predecessor-inversion", False, f"table wrong at {_pair_at(general)}")
+    if condensed:
+        return Check("predecessor-inversion", False, f"condensed rules wrong at {condensed[1]}")
     # The fixed pairs have distance 0 and every other pair is in the map
     # exactly when its image is, one step further out.  Distances then fall
     # by one along each orbit in the map, so it reaches a fixed pair: these
     # rules hold exactly when the map equals the forward walk.
-    for c, t in enumerate(table):
-        s = dist[t]
-        want = 0 if c in fixed else 255 if s == 255 else s + 1
-        if dist[c] != want:
-            return Check("predecessor-inversion", False, f"distance map wrong at {_pair_at(c)}")
+    want = bytearray(map(dist.__getitem__, table)).translate(_NEXT_LEVEL)
+    for c in fixed:
+        want[c] = 0
+    if want != dist:
+        c = next(c for c, (w, s) in enumerate(zip(want, dist)) if w != s)
+        return Check("predecessor-inversion", False, f"distance map wrong at {_pair_at(c)}")
     return Check("predecessor-inversion", True)
 
 

@@ -17,8 +17,10 @@ from kaprekar4.digits import join_digits, step_value, to_digits
 from kaprekar4.dynamics import pair_distance_map
 from kaprekar4.pairs import (
     PairType,
+    _code,
+    _step_table,
     classify_pair,
-    condensed_predecessors_of,
+    condensed_rows,
     pair_count,
     pair_of_digits,
     predecessors_of,
@@ -51,7 +53,7 @@ def test_non_canonical_pair_rejected():
     # canonical in base 8 means 0 <= inner <= outer <= 7; each function tests
     # that inline and raises the one message
     for pair in ((2, 6), (8, 0), (3, -1), (-1, -1)):
-        for reject in (predecessors_of, condensed_predecessors_of, pair_count):
+        for reject in (predecessors_of, pair_count):
             with pytest.raises(ValueError, match=re.escape(f"{pair} is not canonical for base 8")):
                 reject(pair, 8)
 
@@ -146,28 +148,47 @@ def test_predecessors_invert_step_small_bases():
     # above 60 in every residue mod 4, plus the benchmark's base 320
     for b in [*range(2, 13), 97, 98, 99, 100, 320]:
         preimages = oracle_preimages(b)
-        condensed = b % 4 == 0 and b > 4
         for p in canonical_pairs(b):
-            scanned = preimages.get(p, set())
-            assert predecessors_of(p, b) == scanned, (b, p)
-            if condensed:
-                assert condensed_predecessors_of(p, b) == scanned, (b, p)
+            assert predecessors_of(p, b) == preimages.get(p, set()), (b, p)
+
+
+def _non_empty_rows(preimages, b):
+    """The non-empty rows of ``preimages``, as (pair, row) in code order."""
+    return [(p, preimages[p]) for p in canonical_pairs(b) if p in preimages]
+
+
+@pytest.mark.parametrize("b", [*range(8, 65, 4), 100, 320])
+def test_condensed_rows_are_the_scanned_rows(b):
+    assert list(condensed_rows(b)) == _non_empty_rows(oracle_preimages(b), b)
 
 
 def test_condensed_examples_base_8():
-    assert condensed_predecessors_of((4, 2), 8) == {(6, 5), (6, 3), (5, 2), (3, 2)}
-    assert condensed_predecessors_of((3, 1), 8) == {(5, 5), (5, 3), (3, 3)}
-    assert condensed_predecessors_of((0, 0), 8) == {(0, 0)}
-    with pytest.raises(ValueError):
-        condensed_predecessors_of((1, 0), 10)
-    with pytest.raises(ValueError):
-        condensed_predecessors_of((1, 0), 4)
+    rows = dict(condensed_rows(8))
+    assert rows[(4, 2)] == {(6, 5), (6, 3), (5, 2), (3, 2)}
+    assert rows[(3, 1)] == {(5, 5), (5, 3), (3, 3)}
+    assert rows[(0, 0)] == {(0, 0)}
+    assert (1, 0) not in rows
+    assert len(list(condensed_rows(320))) == 13041
+    for b in (10, 4):
+        with pytest.raises(ValueError, match=f"need 4 \\| b and b > 4, got {b}"):
+            next(condensed_rows(b))
 
 
 def test_condensed_matches_general_up_to_64():
     for b in range(8, 65, 4):
-        for p in canonical_pairs(b):
-            assert condensed_predecessors_of(p, b) == predecessors_of(p, b), (b, p)
+        general = {p: row for p in canonical_pairs(b) if (row := predecessors_of(p, b))}
+        assert list(condensed_rows(b)) == _non_empty_rows(general, b), b
+
+
+@pytest.mark.parametrize(
+    "bases", [range(2, 131), [320], [641], [1280]], ids=["2..130", "320", "641", "1280"]
+)
+def test_step_table_matches_step_pair(bases):
+    # the table's row kernel against the walk guard's per-pair formula
+    for b in bases:
+        table = _step_table(b)
+        assert table.itemsize == 4, b
+        assert table.tolist() == [_code(step_pair(p, b)) for p in canonical_pairs(b)], b
 
 
 def _extra_candidates(b):

@@ -12,7 +12,7 @@ from kaprekar4.pairs import (
     _code,
     _pair_at,
     _step_table,
-    condensed_predecessors_of,
+    condensed_rows,
     pair_count,
     predecessors_of,
     step_pair,
@@ -428,12 +428,12 @@ def test_step_table_follows_canonical_order(b):
 
 @pytest.mark.parametrize("b", [15, 20, 40, 60, 80, 160, 320])
 def test_deep_verify_steps_each_pair_once(monkeypatch, b):
-    # the step table steps every canonical pair once and the BFS guard every
-    # reached pair once; every other pair orbit reads the table
+    # the BFS guard steps every reached pair once; the step table is built
+    # row by row without step_pair, and every pair orbit reads the table
     reached = len(pair_distance_map(b).steps)
     calls = _count_calls(monkeypatch, "step_pair", step_pair)
     assert verify_base(b, "deep").all_match
-    assert len(calls) == reached + b * (b + 1) // 2
+    assert len(calls) == reached
 
 
 def _count_calls(monkeypatch, name, real, when=lambda: True):
@@ -461,8 +461,8 @@ def _patch_every_binding(monkeypatch, name, real, replacement):
 def test_deep_verify_call_counts(monkeypatch, b):
     # one general rule row per reached pair (the BFS), per pair absent from
     # the map and for the fixed pair (predecessor-inversion), and for the
-    # fixed pair again (fixed-numeral-landing): pairs + 2 in all; one
-    # condensed row per canonical pair when 4 | b; one count per reached
+    # fixed pair again (fixed-numeral-landing): pairs + 2 in all; one pass
+    # over the non-empty condensed rows when 4 | b; one count per reached
     # pair; and inside fixed-numeral-landing one unchecked integer step per
     # numeral on the fixed pair and on its first-generation predecessors: the
     # fixed numeral it is handed comes from the report, not from stepping again
@@ -483,18 +483,28 @@ def test_deep_verify_call_counts(monkeypatch, b):
         finally:
             inside.pop()
 
+    passes, yielded = [], []
+
+    def counting_rows(base):
+        passes.append(base)
+        for item in condensed_rows(base):
+            yielded.append(item)
+            yield item
+
     monkeypatch.setattr(verify_mod, "_check_fixed_numeral_landing", landing)
     rows = _count_calls(monkeypatch, "predecessors_of", predecessors_of)
-    condensed = _count_calls(monkeypatch, "condensed_predecessors_of", condensed_predecessors_of)
+    _patch_every_binding(monkeypatch, "condensed_rows", condensed_rows, counting_rows)
     counts = _count_calls(monkeypatch, "pair_count", pair_count)
     steps = _count_calls(monkeypatch, "_step_value", _step_value, when=lambda: bool(inside))
     assert verify_base(b, "deep").all_match
     assert len(rows) == pairs + 2
-    assert len(condensed) == (pairs if b % 4 == 0 else 0)
+    assert passes == [b]  # 4 | b for each of these bases
+    assert len(yielded) == sum(1 for p in canonical_pairs(b) if predecessors_of(p, b))
     assert len(counts) == reached
     assert len(steps) == landing_steps
     if b == 320:
         assert (len(rows), len(counts), len(steps)) == (51362, 38601, 41408)
+        assert len(yielded) == 13041
 
 
 @pytest.mark.parametrize("b", [20, 320])
@@ -593,7 +603,12 @@ def _corrupt_one_row(monkeypatch, name, at, mutate):
         out = real(pair, b)
         return mutate(out, at, b) if pair == at else out
 
-    _patch_every_binding(monkeypatch, name, real, corrupted)
+    def corrupted_rows(b):
+        for pair, row in real(b):
+            yield pair, mutate(row, at, b) if pair == at else row
+
+    replacement = corrupted_rows if name == "condensed_rows" else corrupted
+    _patch_every_binding(monkeypatch, name, real, replacement)
 
 
 @pytest.mark.parametrize(
@@ -605,7 +620,7 @@ def _corrupt_one_row(monkeypatch, name, at, mutate):
         # (12, 8) steps onto (5, 3), which base 20's map does not reach, so
         # the walk never takes its row
         ("predecessors_of", 20, (12, 8), "table wrong at "),
-        ("condensed_predecessors_of", 40, (13, 6), "condensed rules wrong at "),
+        ("condensed_rows", 40, (13, 6), "condensed rules wrong at "),
     ],
 )
 def test_wrong_preimage_fails_predecessor_inversion(
@@ -621,6 +636,48 @@ def test_wrong_preimage_fails_predecessor_inversion(
     assert not check.passed
     assert check.detail == f"{detail}{at}"
     assert main(["verify", "--bases", f"{b}..{b}", "--depth", "deep", "--jobs", "1"]) == 1
+    capsys.readouterr()
+
+
+def _skip(rows, at):
+    return [(p, row) for p, row in rows if p != at]
+
+
+def _swap_with_the_next(rows, at):
+    k = next(k for k, (p, _) in enumerate(rows) if p == at)
+    return [*rows[:k], rows[k + 1], rows[k], *rows[k + 2 :]]
+
+
+def _repeat(rows, at):
+    k = next(k for k, (p, _) in enumerate(rows) if p == at)
+    return [*rows[: k + 1], rows[k], *rows[k + 1 :]]
+
+
+@pytest.mark.parametrize(
+    "edit, at",
+    [
+        # (20, 19) is listed right after (20, 18), (39, 37) is the last row
+        # and (0, 0) the first
+        (_skip, (20, 19)),
+        (_skip, (39, 37)),
+        (_skip, (0, 0)),
+        # (20, 18) listed after (20, 19), or twice, is out of code order
+        (_swap_with_the_next, (20, 18)),
+        (_repeat, (20, 18)),
+    ],
+)
+def test_misplaced_condensed_row_fails_predecessor_inversion(monkeypatch, capsys, edit, at):
+    # the check lists only the non-empty condensed rows, so a row left out,
+    # listed out of code order or listed twice fails at that row's pair
+    from kaprekar4.cli import main
+
+    real = verify_mod.condensed_rows
+    monkeypatch.setattr(verify_mod, "condensed_rows", lambda b: iter(edit(list(real(b)), at)))
+    rep = verify_base(40, "deep")
+    assert [(c.label, c.detail) for c in rep.checks if not c.passed] == [
+        ("predecessor-inversion", f"condensed rules wrong at {at}")
+    ]
+    assert main(["verify", "--bases", "40..40", "--depth", "deep", "--jobs", "1"]) == 1
     capsys.readouterr()
 
 
