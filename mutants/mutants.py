@@ -404,41 +404,76 @@ MUTANTS += [
     },
 ]
 
-# the condensed rules, listed by family, and the check of the codes between
-# the rows they list
+# the condensed rules, written family by family as a code image, the check
+# that holds the image to the step table, and the landing memo's per-cell
+# maxima
+_SCANNED_8 = "tests/test_pairs.py::test_condensed_rows_are_the_scanned_rows[8]"
 MUTANTS += [
     # no (d, b-1-d) <- (d+1, 0), (b-d, 0) rows
     {
         "name": "condensed-drops-the-b-minus-1-minus-d-family",
         "file": "kaprekar4/pairs.py",
-        "old": "rows.insert(0 if d % 2 else (e + 1) // 2, ((d, e), {(d + 1, 0), (b - d, 0)}))",
+        "old": "put(tri[x], [tri[d] + b - 1 - d])",
         "new": "pass",
-        "tests": [
-            "tests/test_pairs.py::test_condensed_rows_are_the_scanned_rows[8]",
-            "tests/test_verify.py::test_deep_bases_all_match[20]",
-        ],
+        "tests": [_SCANNED_8, "tests/test_verify.py::test_deep_bases_all_match[20]"],
     },
-    # (2i, 2j) <- (h + j, h + i), a pair that is not canonical
+    # the run of members (up, h + j) of (2i, 2j) starts at the code of
+    # (h, up), a pair that is not canonical
     {
         "name": "condensed-coordinate-swap",
         "file": "kaprekar4/pairs.py",
-        "old": "{(up, h + j), (up, h - j), (h + j, dn), (h - j, dn)}",
-        "new": "{(h + j, up), (up, h - j), (h + j, dn), (h - j, dn)}",
+        "old": "put(tri[up] + h, range(r, r + 2 * i, 2))",
+        "new": "put(tri[h] + up, range(r, r + 2 * i, 2))",
+        "tests": [_SCANNED_8, "tests/test_verify.py::test_deep_bases_all_match[20]"],
+    },
+    # the (up, h - j) segment of (2i, 2j) written one code to the left
+    {
+        "name": "condensed-segment-one-code-left",
+        "file": "kaprekar4/pairs.py",
+        "old": "put(tri[up] + dn + 1, range(r + 2 * i - 2, r, -2))",
+        "new": "put(tri[up] + dn, range(r + 2 * i - 2, r, -2))",
+        "tests": [_SCANNED_8, "tests/test_verify.py::test_deep_bases_all_match[20]"],
+    },
+    # each column of (x, h - i) members stops one member early
+    {
+        "name": "condensed-column-one-member-short",
+        "file": "kaprekar4/pairs.py",
+        "old": "rows = [r + 2 * j for r in col[1 : h - j]]",
+        "new": "rows = [r + 2 * j for r in col[1 : h - j - 1]]",
+        "tests": [_SCANNED_8, "tests/test_verify.py::test_deep_bases_all_match[20]"],
+    },
+    # no write-once guard: a code listed in two rows passes while the image
+    # equals the table
+    {
+        "name": "condensed-write-once-guard-dropped",
+        "file": "kaprekar4/verify.py",
+        "old": "if condensed_image(b, image) != n or image != table:",
+        "new": "if condensed_image(b, image) < 0 or image != table:",
         "tests": [
-            "tests/test_pairs.py::test_condensed_rows_are_the_scanned_rows[8]",
-            "tests/test_verify.py::test_deep_bases_all_match[20]",
+            "tests/test_verify.py::test_wrong_condensed_image_fails_predecessor_inversion["
+            "written-twice]",
         ],
     },
-    # the codes the list skips are checked from one code late, so leaving
-    # out the row of (0, 0) goes unseen
+    # a failure names the last wrong row, not the first
     {
-        "name": "condensed-gap-check-one-code-late",
+        "name": "condensed-failure-names-the-last-wrong-row",
         "file": "kaprekar4/verify.py",
-        "old": "if seen != counts:",
-        "new": "if seen[1:] != counts[1:]:",
+        "old": "condensed = _pair_at(min(bad))",
+        "new": "condensed = _pair_at(max(bad))",
         "tests": [
-            "tests/test_verify.py::test_misplaced_condensed_row_fails_predecessor_inversion["
-            "_skip-at2]",
+            "tests/test_verify.py::test_wrong_condensed_image_fails_predecessor_inversion["
+            "one-wrong-entry]",
+        ],
+    },
+    # the memo keeps each path's second step count, not its head's
+    {
+        "name": "landing-memo-worst-one-step-early",
+        "file": "kaprekar4/verify.py",
+        "old": "        if s > worst[cell]:\n            worst[cell] = s\n",
+        "new": "        if s - 1 > worst[cell]:\n            worst[cell] = s - 1\n",
+        "tests": [
+            "tests/test_verify.py::test_landing_memo_equals_grid_landing[160]",
+            "tests/test_verify.py::test_deep_bases_all_match[160]",
         ],
     },
 ]

@@ -11,8 +11,8 @@ are listed outer-major: d ascending, then dp from 0 to d.  The step table of
 a base maps codes to codes; it is built one row of codes at a time, from
 the A-type formula with the other types' entries patched in.
 The general predecessor rules build each row directly as a set of canonical
-pairs; the condensed rules list their non-empty rows, family by family, in
-code order.
+pairs; the condensed rules write, family by family, a code image: entry q
+is the code of the row that lists pair q.
 The fixed pair (3b/5, b/5) lives only in :mod:`.dynamics`, as a walk start.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 from array import array
 from enum import Enum
 from math import isqrt
-from typing import Iterator, NoReturn
+from typing import NoReturn
 
 from .digits import Digits, check_base
 
@@ -133,15 +133,13 @@ def _not_canonical(d: int, dp: int, b: int) -> NoReturn:
 # not here.  The guard step in the BFS of ``dynamics.pair_distance_map``
 # checks the general row of every pair the walk reaches.  Verify's
 # predecessor-inversion check derives the general rows of the other pairs
-# and of the fixed pairs, holds the listed condensed rows to the step table
-# by count and image, and requires every pair between them to have no
-# preimage.
+# and of the fixed pairs, and compares the condensed rules' code image with
+# the step table, every entry written once.
 #
-# The general rules branch per pair in :func:`step_pair`'s order.  The
-# condensed rules do not branch per pair: each family is a range of pairs,
-# and every pair outside the families has an empty row.  Both emit each row
-# already canonical.  With d >= dp the four A-type sign candidates come out
-# ordered: (b+d)/2 >= (b+dp)/2 >= (b-dp)/2 >= (b-d)/2, and likewise
+# The general rules branch per pair in :func:`step_pair`'s order; the
+# condensed rules write each family as runs of codes.  Both emit canonical
+# pairs: with d >= dp the four A-type sign candidates come out ordered,
+# (b+d)/2 >= (b+dp)/2 >= (b-dp)/2 >= (b-d)/2, and likewise
 # h+i >= h+j >= h-j >= h-i in the condensed rules.
 
 
@@ -195,39 +193,51 @@ def predecessors_of(pair: Pair, b: int) -> set[Pair]:
     return out
 
 
-def condensed_rows(b: int) -> Iterator[tuple[Pair, set[Pair]]]:
-    """Every non-empty row of the condensed rules for 4 | b and b > 4, as
-    ``(pair, row)`` in code order; every pair not yielded has an empty row.
+def condensed_image(b: int, image) -> int:
+    """Write the condensed rules for 4 | b and b > 4 into ``image``, a code
+    image: entry q gets the code of the row that lists pair q.  Returns the
+    number of entries written, b(b+1)/2 when every pair is listed once.
 
     With h = b/2 the families are (0, 0) <- (0, 0); (1, 1) <- (h, h);
     (b-1, 0) <- (1, 0); (2i, 2j) <- (h +/- i, h +/- j) for j < i;
     (2i+1, 2i-1) <- (h +/- i, h +/- i); and (d, b-1-d) <- (d+1, 0), (b-d, 0)
-    for h <= d < b-1.  Kept separate from :func:`predecessors_of` so the
-    condensed rule set is itself verified rather than derived from the
-    general one.
+    for h <= d < b-1.  Each write is a run, ``image[lo:lo + k] = array``.
+    Kept separate from :func:`predecessors_of` so the condensed rule set is
+    itself verified rather than derived from the general one.
     """
     if b % 4 != 0 or b <= 4:
         raise ValueError(f"condensed predecessor rules need 4 | b and b > 4, got {b}")
-    h = b // 2
-    yield (0, 0), {(0, 0)}
-    yield (1, 1), {(h, h)}
-    for d in range(2, b):
-        i, e = d // 2, b - 1 - d
-        up, dn = h + i, h - i
-        if d % 2:  # (2i+1, 2i-1) <- (h +/- i, h +/- i)
-            rows = [((d, d - 2), {(up, up), (up, dn), (dn, dn)})]
-        else:  # (2i, 2j) <- (h +/- i, h +/- j), j < i
-            rows = [
-                ((d, 2 * j), {(up, h + j), (up, h - j), (h + j, dn), (h - j, dn)})
-                for j in range(i)
-            ]
-        # (d, e), e < d, is listed before the rows of a larger dp: the
-        # (d, 2j) with 2j > e, or for an odd d its one row, since e < d - 2
-        if e == 0:  # (b-1, 0) <- (1, 0)
-            rows.insert(0, ((d, 0), {(1, 0)}))
-        elif e < d:  # (d, b-1-d) <- (d+1, 0), (b-d, 0)
-            rows.insert(0 if d % 2 else (e + 1) // 2, ((d, e), {(d + 1, 0), (b - d, 0)}))
-        yield from rows
+    h, written = b // 2, 0
+    tri = [k * (k + 1) // 2 for k in range(b + 1)]
+
+    def put(lo: int, rows) -> None:
+        nonlocal written
+        rows = array("I", rows)
+        image[lo : lo + len(rows)] = rows
+        written += len(rows)
+
+    put(0, [0, tri[b - 1]])  # (0, 0) and (1, 0)
+    put(tri[h] + h, [2])  # (h, h), listed by (1, 1)
+    for i in range(1, h):
+        up, dn, r = h + i, h - i, tri[2 * i]
+        # the members (up, y) of (2i, 2j), h - i < y < h + i, list row
+        # (2i, 2|y - h|): y = h + j ascending, then y = h - j for j > 0
+        put(tri[up] + h, range(r, r + 2 * i, 2))
+        put(tri[up] + dn + 1, range(r + 2 * i - 2, r, -2))
+        for x, y in (up, up), (up, dn), (dn, dn):
+            put(tri[x] + y, [tri[2 * i + 1] + 2 * i - 1])  # (2i+1, 2i-1)
+    # the members (x, h - i) of (2i, 2j) with j = |x - h| < i, a column x at
+    # a time: y = h - i runs over 1 .. h - j - 1 and lists row (2i, 2j), the
+    # same rows for x = h + j and h - j
+    col = [tri[2 * (h - y)] for y in range(h)]
+    for j in range(h - 1):
+        rows = [r + 2 * j for r in col[1 : h - j]]
+        for x in {h + j, h - j}:
+            put(tri[x] + 1, rows)
+    for d in range(h, b - 1):
+        for x in d + 1, b - d:
+            put(tri[x], [tri[d] + b - 1 - d])
+    return written
 
 
 # ---------------------------------------------------------------------------

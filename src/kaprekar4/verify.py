@@ -23,9 +23,8 @@ The walk's guard checks each member of the general rows it takes, and a
 member missing from one of them shows as a hole in the map.  The inversion
 check derives the general rows of the pairs the walk does not reach and of
 the fixed pairs, and checks each against the table by count and image.  It
-holds the non-empty condensed rows, listed in code order, to the table the
-same way, and every code between them to a count of 0.  It compares the
-map with the forward walk in one pass over the distance bytes.
+compares the condensed rules' code image with the table as one array, and
+the map with the forward walk in one pass over the distance bytes.
 
 The per-code vectors of the inversion check (preimage counts, distances)
 and of the landing memo (steps, cells) are ``bytearray``s, one byte per
@@ -60,7 +59,7 @@ from .pairs import (
     _pair_at,
     _step_table,
     classify_pair,
-    condensed_rows,
+    condensed_image,
     predecessors_of,
 )
 from .predictions import (
@@ -161,9 +160,7 @@ def _check_fixed_numeral_landing(b: int, target: Pair, v_fixed: int) -> Check:
     for p in predecessors_of(target, b) - {target}:
         for x in _pair_numerals(p, b):
             if _step_value(x, b) == v_fixed:
-                return Check(
-                    "fixed-numeral-landing", False, f"{x} (pair {p}) short-circuits"
-                )
+                return Check("fixed-numeral-landing", False, f"{x} (pair {p}) short-circuits")
     return Check("fixed-numeral-landing", True)
 
 
@@ -171,26 +168,33 @@ def _check_fixed_numeral_landing(b: int, target: Pair, v_fixed: int) -> Check:
 _NEXT_LEVEL = bytes(range(1, 256)) + b"\xff"
 
 
+class _Rows(dict):
+    """A stand-in code image: keeps, for each row code, the codes it lists."""
+
+    def __setitem__(self, key: slice, rows) -> None:
+        for q, r in enumerate(rows, key.start):
+            self.setdefault(r, []).append(q)
+
+
 def _check_predecessor_inversion(b: int, table: array, pdm: PairDistanceMap) -> Check:
     """The predecessor tables equal a scan of the forward step, and the
     reverse-BFS distance map equals the forward walk.
 
-    A rule row is a set and each pair has one image, so the row equals the
-    preimage of code c exactly when it has counts[c] members, each of them
-    canonical and stepping onto c; an empty row, exactly when counts[c] is
-    0.  ``condensed_rows`` lists the non-empty condensed rows, each held to
-    that, and every code it skips must have a count of 0.  As a row listed
-    out of code order (or twice) fails, that is the per-pair check of every
-    condensed row, the empty ones included.
-    A general row is derived here only for a pair absent from the map, and
-    for each fixed pair.  The walk took every other pair's row, and its
-    guard checked each member: canonical, stepping onto the pair.  If such
-    a row missed a true preimage q, then q is absent from the map while its
-    image is in it, and the distance comparison below fails at q.  The one
-    member the walk cannot see is a fixed pair in its own row, because the
-    walk seeds that pair; so the fixed rows are derived again.  A failure
-    names the first failing pair in code order, the general rules before
-    the condensed ones at the same pair.
+    A general row is a set and each pair has one image, so the row equals
+    the preimage of code c exactly when it has counts[c] members, each of
+    them canonical and stepping onto c.  Such a row is derived here only for
+    a pair absent from the map, and for each fixed pair.  The walk took every
+    other pair's row, and its guard checked each member: canonical, stepping
+    onto the pair.  If such a row missed a true preimage q, then q is absent
+    from the map while its image is in it, and the distance comparison below
+    fails at q.  The one member the walk cannot see is a fixed pair in its
+    own row, because the walk seeds that pair; so the fixed rows are derived
+    again.  The condensed rules write entry q of a code image with the row
+    that lists q.  Every row, the empty ones too, is its preimage exactly
+    when each of the n codes is written once and the image equals the
+    table; only a failure replays the rules row by row.  A failure names the
+    first failing pair in code order, the general rules before the
+    condensed ones at the same pair.
 
     A rule row has a handful of members, so a table that sends 256 or more
     pairs onto one code fails at that code.  A map whose next level would
@@ -233,27 +237,23 @@ def _check_predecessor_inversion(b: int, table: array, pdm: PairDistanceMap) -> 
         if c != -1:
             general = c
             break
-    # the first failing (code, pair) of the condensed rows: a listed pair
-    # that is not canonical or out of code order, a wrong listed row, or an
-    # unlisted code with a preimage (``seen`` copies the listed counts)
+    # the first wrong row of the condensed rules: n writes, and an image
+    # equal to the table, whose entries are codes, so none is the fill n;
+    # on failure, the first row whose codes are not its preimage's
     condensed = None
     if b % 4 == 0 and b > 4:
-        seen, lo = bytearray(len(table)), 0
-        for p, row in condensed_rows(b):
-            x, y = p
-            c = x * (x + 1) // 2 + y
-            if not 0 <= y <= x < b or c < lo or misses(row, c):
-                condensed = c, p
-                break
-            seen[c], lo = counts[c], c + 1
-        if seen != counts:
-            c = next(k for k, (s, t) in enumerate(zip(seen, counts)) if s != t)
-            if not condensed or c < condensed[0]:
-                condensed = c, _pair_at(c)
-    if general is not None and not (condensed and condensed[0] < general):
+        n = len(table)
+        image = array("I", [n]) * n
+        if condensed_image(b, image) != n or image != table:
+            listed, want = _Rows(), _Rows()
+            condensed_image(b, listed)
+            want[0:n] = table  # each row lists its preimage, each code once
+            bad = [r for r in {*listed, *want} if sorted(listed.get(r, ())) != want.get(r)]
+            condensed = _pair_at(min(bad))
+    if general is not None and not (condensed and _code(condensed) < general):
         return Check("predecessor-inversion", False, f"table wrong at {_pair_at(general)}")
     if condensed:
-        return Check("predecessor-inversion", False, f"condensed rules wrong at {condensed[1]}")
+        return Check("predecessor-inversion", False, f"condensed rules wrong at {condensed}")
     # The fixed pairs have distance 0 and every other pair is in the map
     # exactly when its image is, one step further out.  Distances then fall
     # by one along each orbit in the map, so it reaches a fixed pair: these
@@ -269,9 +269,7 @@ def _check_predecessor_inversion(b: int, table: array, pdm: PairDistanceMap) -> 
 
 def _h_set(pair: Pair, b: int) -> frozenset[Pair]:
     x, y = pair
-    return frozenset(
-        {_canon(x, y), _canon(x, b - y), _canon(y, b - x), _canon(b - y, b - x)}
-    )
+    return frozenset({_canon(x, y), _canon(x, b - y), _canon(y, b - x), _canon(b - y, b - x)})
 
 
 def _basin_structure_checks(b: int, m: int, n: int, pdm: PairDistanceMap) -> list[Check]:
@@ -312,11 +310,12 @@ def _orbit(pair: Pair, steps: int, table: array) -> list[Pair]:
     return [_pair_at(c) for c in codes]
 
 
-def _grid_landings(b: int, n: int, table: array) -> tuple[bytearray, bytearray]:
+def _grid_landings(b: int, n: int, table: array) -> tuple[bytearray, bytearray, bytearray]:
     """The grid landing of every pair code, memoised along the step table.
 
     Returns the steps to the first grid pair and that grid pair's cell code,
-    each indexed by pair code, as bytes.  A pair whose landing exceeds a
+    each indexed by pair code, and each cell's most steps, indexed by cell
+    code, as bytes.  A pair whose landing exceeds a
     budget of 2n + 8 steps raises ``RuntimeError``, as
     ``predictions.grid_landing`` does.  The budget is at most 34 (n <= 13),
     so a landing never reaches 255, which marks a pair not yet landed.
@@ -325,11 +324,11 @@ def _grid_landings(b: int, n: int, table: array) -> tuple[bytearray, bytearray]:
     budget = 2 * n + 8
     steps = bytearray(b"\xff") * len(table)
     cells = bytearray(len(table))
-    for p in range(5):
-        for q in range(p + 1):
-            c = _code((p * g, q * g))
-            steps[c] = 0
-            cells[c] = _code((p, q))
+    worst = bytearray(15)  # each cell's grid pair lands on itself in 0 steps
+    for k in range(15):  # cell code k, the grid pair g*(p, q)
+        p, q = _pair_at(k)
+        steps[_code((p * g, q * g))] = 0
+        cells[_code((p * g, q * g))] = k
     path: list[int] = []
     for c in range(len(table)):
         if steps[c] != 255:
@@ -348,7 +347,10 @@ def _grid_landings(b: int, n: int, table: array) -> tuple[bytearray, bytearray]:
             k = path.pop()
             steps[k] = s
             cells[k] = cell
-    return steps, cells
+        # the path's head, its last step, lands in the most steps
+        if s > worst[cell]:
+            worst[cell] = s
+    return steps, cells, worst
 
 
 def _grid_checks(b: int, n: int, table: array) -> list[Check]:
@@ -360,14 +362,10 @@ def _grid_checks(b: int, n: int, table: array) -> list[Check]:
     # code is its index in cell_pairs, which lists the cells in sorted order
     cell_pairs = [_pair_at(k) for k in range(15)]  # 0 <= q <= p <= 4
     bound = [landing_bound(*cell, n) for cell in cell_pairs]
-    worst = [-1] * len(cell_pairs)
+    steps, cells, worst = _grid_landings(b, n, table)
     over: list[Pair] = []
-    steps, cells = _grid_landings(b, n, table)
-    for c, (s, k) in enumerate(zip(steps, cells)):
-        if s > bound[k]:
-            over.append(_pair_at(c))
-        if s > worst[k]:
-            worst[k] = s
+    if any(w > bd for w, bd in zip(worst, bound)):
+        over = [_pair_at(c) for c, (s, k) in enumerate(zip(steps, cells)) if s > bound[k]]
     checks.append(_offenders("landing-bounds", "bound exceeded from", over[:4]))
 
     # arrival table: each grid cell's first return to the grid is one step
@@ -406,9 +404,7 @@ def _grid_checks(b: int, n: int, table: array) -> list[Check]:
             break
     checks.append(Check("landing-witnesses", not detail, detail))
 
-    unattained = [
-        cell for cell, w, bd in zip(cell_pairs, worst, bound) if w >= 0 and w != bd
-    ]
+    unattained = [cell for cell, w, bd in zip(cell_pairs, worst, bound) if w != bd]
     checks.append(_offenders("landing-attainment", "bound not attained for cells", unattained))
 
     predicted = predict_max_distance(b)
@@ -477,16 +473,10 @@ def _check_cycle_rows(b: int, n: int, table: array) -> Check:
                 ok = isinstance(t.terminal, Cycle) and t.terminal.period >= 2
                 if ok:
                     entries.append(t.terminal.entry_step)
-                    if exact:
-                        ok = t.terminal.entry_step == bound
-                    else:
-                        ok = t.terminal.entry_step <= bound
+                    ok = t.terminal.entry_step == bound if exact else t.terminal.entry_step <= bound
             if not ok:
-                return Check(
-                    "cycle-rows",
-                    False,
-                    f"cell {cell}: start {value} gives {t.terminal}, tabulated {bound}",
-                )
+                detail = f"cell {cell}: start {value} gives {t.terminal}, tabulated {bound}"
+                return Check("cycle-rows", False, detail)
         details.append(f"{cell}: entries {sorted(set(entries))} within {bound}")
     return Check("cycle-rows", True, "; ".join(details))
 

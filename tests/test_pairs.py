@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from array import array
 from collections import Counter
 from importlib.resources import files
 from math import factorial, prod
@@ -20,13 +21,13 @@ from kaprekar4.pairs import (
     _code,
     _step_table,
     classify_pair,
-    condensed_rows,
+    condensed_image,
     pair_count,
     pair_of_digits,
     predecessors_of,
     step_pair,
 )
-from oracles import canonical_pairs, oracle_pair, oracle_preimages
+from oracles import canonical_pairs, oracle_pair, oracle_pair_step, oracle_preimages
 
 
 def base_and_pair():
@@ -152,32 +153,52 @@ def test_predecessors_invert_step_small_bases():
             assert predecessors_of(p, b) == preimages.get(p, set()), (b, p)
 
 
-def _non_empty_rows(preimages, b):
-    """The non-empty rows of ``preimages``, as (pair, row) in code order."""
-    return [(p, preimages[p]) for p in canonical_pairs(b) if p in preimages]
+def _condensed(b):
+    """The condensed rules' code image of ``b``, from an image of fill n (no
+    code), and the number of entries they wrote."""
+    n = b * (b + 1) // 2
+    image = array("I", [n]) * n
+    return image, condensed_image(b, image)
 
 
-@pytest.mark.parametrize("b", [*range(8, 65, 4), 100, 320])
+@pytest.mark.parametrize("b", [*range(8, 133, 4), 320])
 def test_condensed_rows_are_the_scanned_rows(b):
-    assert list(condensed_rows(b)) == _non_empty_rows(oracle_preimages(b), b)
+    # entry q names the row that lists pair q, which the scan's forward step
+    # of q must be; each of the n entries is written once
+    pairs = list(canonical_pairs(b))
+    image, written = _condensed(b)
+    assert written == len(pairs)
+    assert [pairs[r] for r in image] == [oracle_pair_step(p, b) for p in pairs]
+
+
+def _rows_of(image, b):
+    """The rows an image lists, as {pair: set of the pairs it lists}."""
+    pairs = list(canonical_pairs(b))
+    rows = {}
+    for q, r in enumerate(image):
+        rows.setdefault(pairs[r], set()).add(pairs[q])
+    return rows
 
 
 def test_condensed_examples_base_8():
-    rows = dict(condensed_rows(8))
+    rows = _rows_of(_condensed(8)[0], 8)
     assert rows[(4, 2)] == {(6, 5), (6, 3), (5, 2), (3, 2)}
     assert rows[(3, 1)] == {(5, 5), (5, 3), (3, 3)}
     assert rows[(0, 0)] == {(0, 0)}
     assert (1, 0) not in rows
-    assert len(list(condensed_rows(320))) == 13041
+    # the non-empty rows at 320 are the distinct entries of its image
+    assert len(set(_condensed(320)[0])) == 13041
     for b in (10, 4):
         with pytest.raises(ValueError, match=f"need 4 \\| b and b > 4, got {b}"):
-            next(condensed_rows(b))
+            condensed_image(b, array("I"))
 
 
 def test_condensed_matches_general_up_to_64():
     for b in range(8, 65, 4):
         general = {p: row for p in canonical_pairs(b) if (row := predecessors_of(p, b))}
-        assert list(condensed_rows(b)) == _non_empty_rows(general, b), b
+        image, written = _condensed(b)
+        assert written == b * (b + 1) // 2, b
+        assert _rows_of(image, b) == general, b
 
 
 @pytest.mark.parametrize(

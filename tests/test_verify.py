@@ -12,7 +12,7 @@ from kaprekar4.pairs import (
     _code,
     _pair_at,
     _step_table,
-    condensed_rows,
+    condensed_image,
     pair_count,
     predecessors_of,
     step_pair,
@@ -237,6 +237,21 @@ def test_shifted_landing_bound_fails(monkeypatch, shift, label, detail):
     assert (check.passed, check.detail) == (False, detail)
 
 
+@pytest.mark.parametrize("b", [20, 40, 80, 160, 320])
+def test_low_landing_bound_lists_the_scanned_offenders(monkeypatch, b):
+    # the memo's per-cell maxima decide whether any pair exceeds its bound;
+    # the offenders listed are then the first four of a scan of every pair
+    n = classify_base(b).n
+    real = verify_mod.landing_bound
+    monkeypatch.setattr(verify_mod, "landing_bound", lambda p, q, n: real(p, q, n) - 1)
+    low = [real(*_pair_at(k), n) - 1 for k in range(15)]
+    steps, cells, _ = verify_mod._grid_landings(b, n, _step_table(b))
+    over = [p for p, s, k in zip(canonical_pairs(b), steps, cells) if s > low[k]]
+    assert len(over) >= 4
+    check = _check(verify_base(b, "deep"), "landing-bounds")
+    assert (check.passed, check.detail) == (False, f"bound exceeded from {over[:4]}")
+
+
 # ---------------------------------------------------------------------------
 # a transcription slip in a literal table fails the check that reads it
 # ---------------------------------------------------------------------------
@@ -457,12 +472,12 @@ def _patch_every_binding(monkeypatch, name, real, replacement):
             monkeypatch.setattr(mod, name, replacement)
 
 
-@pytest.mark.parametrize("b", [20, 160, 320])
+@pytest.mark.parametrize("b", [10, 20, 160, 320])
 def test_deep_verify_call_counts(monkeypatch, b):
     # one general rule row per reached pair (the BFS), per pair absent from
     # the map and for the fixed pair (predecessor-inversion), and for the
-    # fixed pair again (fixed-numeral-landing): pairs + 2 in all; one pass
-    # over the non-empty condensed rows when 4 | b; one count per reached
+    # fixed pair again (fixed-numeral-landing): pairs + 2 in all; one
+    # condensed image when 4 | b and none otherwise; one count per reached
     # pair; and inside fixed-numeral-landing one unchecked integer step per
     # numeral on the fixed pair and on its first-generation predecessors: the
     # fixed numeral it is handed comes from the report, not from stepping again
@@ -483,28 +498,23 @@ def test_deep_verify_call_counts(monkeypatch, b):
         finally:
             inside.pop()
 
-    passes, yielded = [], []
-
-    def counting_rows(base):
-        passes.append(base)
-        for item in condensed_rows(base):
-            yielded.append(item)
-            yield item
-
     monkeypatch.setattr(verify_mod, "_check_fixed_numeral_landing", landing)
     rows = _count_calls(monkeypatch, "predecessors_of", predecessors_of)
-    _patch_every_binding(monkeypatch, "condensed_rows", condensed_rows, counting_rows)
+    images = _count_calls(monkeypatch, "condensed_image", condensed_image)
     counts = _count_calls(monkeypatch, "pair_count", pair_count)
     steps = _count_calls(monkeypatch, "_step_value", _step_value, when=lambda: bool(inside))
     assert verify_base(b, "deep").all_match
     assert len(rows) == pairs + 2
-    assert passes == [b]  # 4 | b for each of these bases
-    assert len(yielded) == sum(1 for p in canonical_pairs(b) if predecessors_of(p, b))
+    assert [base for base, _ in images] == ([b] if b % 4 == 0 else [])
     assert len(counts) == reached
     assert len(steps) == landing_steps
+    if images:
+        # the image's distinct entries are the non-empty rows
+        non_empty = sum(1 for p in canonical_pairs(b) if predecessors_of(p, b))
+        assert len(set(images[0][1])) == non_empty
     if b == 320:
         assert (len(rows), len(counts), len(steps)) == (51362, 38601, 41408)
-        assert len(yielded) == 13041
+        assert len(set(images[0][1])) == 13041
 
 
 @pytest.mark.parametrize("b", [20, 320])
@@ -603,12 +613,7 @@ def _corrupt_one_row(monkeypatch, name, at, mutate):
         out = real(pair, b)
         return mutate(out, at, b) if pair == at else out
 
-    def corrupted_rows(b):
-        for pair, row in real(b):
-            yield pair, mutate(row, at, b) if pair == at else row
-
-    replacement = corrupted_rows if name == "condensed_rows" else corrupted
-    _patch_every_binding(monkeypatch, name, real, replacement)
+    _patch_every_binding(monkeypatch, name, real, corrupted)
 
 
 @pytest.mark.parametrize(
@@ -620,7 +625,6 @@ def _corrupt_one_row(monkeypatch, name, at, mutate):
         # (12, 8) steps onto (5, 3), which base 20's map does not reach, so
         # the walk never takes its row
         ("predecessors_of", 20, (12, 8), "table wrong at "),
-        ("condensed_rows", 40, (13, 6), "condensed rules wrong at "),
     ],
 )
 def test_wrong_preimage_fails_predecessor_inversion(
@@ -639,40 +643,46 @@ def test_wrong_preimage_fails_predecessor_inversion(
     capsys.readouterr()
 
 
-def _skip(rows, at):
-    return [(p, row) for p, row in rows if p != at]
+def _rewire(monkeypatch, at, rows):
+    """The condensed rules with pair ``at`` listed by the rows of ``rows``,
+    written in that order, instead of by its own row."""
+    real = verify_mod.condensed_image
 
+    class Entries(dict):
+        def __setitem__(self, key, rows):
+            self.update(enumerate(rows, key.start))
 
-def _swap_with_the_next(rows, at):
-    k = next(k for k, (p, _) in enumerate(rows) if p == at)
-    return [*rows[:k], rows[k + 1], rows[k], *rows[k + 2 :]]
+    def rewired(b, image):
+        entries = Entries()
+        real(b, entries)
+        del entries[_code(at)]
+        writes = [*entries.items(), *((_code(at), _code(p)) for p in rows)]
+        for q, r in writes:
+            image[q : q + 1] = array("I", [r])
+        return len(writes)
 
-
-def _repeat(rows, at):
-    k = next(k for k, (p, _) in enumerate(rows) if p == at)
-    return [*rows[: k + 1], rows[k], *rows[k + 1 :]]
+    monkeypatch.setattr(verify_mod, "condensed_image", rewired)
 
 
 @pytest.mark.parametrize(
-    "edit, at",
+    "rows, at",
     [
-        # (20, 19) is listed right after (20, 18), (39, 37) is the last row
-        # and (0, 0) the first
-        (_skip, (20, 19)),
-        (_skip, (39, 37)),
-        (_skip, (0, 0)),
-        # (20, 18) listed after (20, 19), or twice, is out of code order
-        (_swap_with_the_next, (20, 18)),
-        (_repeat, (20, 18)),
+        # one wrong entry: (22, 13) moves from the row of its image (14, 4)
+        # to that of (20, 19), so both rows are wrong; (14, 4) comes first
+        ([(20, 19)], (14, 4)),
+        # a code never written: its image's row misses it
+        ([], (14, 4)),
+        # a code written twice: the row of (20, 19) lists (22, 13) before its
+        # own row does, so the image still equals the table
+        ([(20, 19), (14, 4)], (20, 19)),
     ],
+    ids=["one-wrong-entry", "never-written", "written-twice"],
 )
-def test_misplaced_condensed_row_fails_predecessor_inversion(monkeypatch, capsys, edit, at):
-    # the check lists only the non-empty condensed rows, so a row left out,
-    # listed out of code order or listed twice fails at that row's pair
+def test_wrong_condensed_image_fails_predecessor_inversion(monkeypatch, capsys, rows, at):
     from kaprekar4.cli import main
 
-    real = verify_mod.condensed_rows
-    monkeypatch.setattr(verify_mod, "condensed_rows", lambda b: iter(edit(list(real(b)), at)))
+    assert step_pair((22, 13), 40) == (14, 4)
+    _rewire(monkeypatch, (22, 13), rows)
     rep = verify_base(40, "deep")
     assert [(c.label, c.detail) for c in rep.checks if not c.passed] == [
         ("predecessor-inversion", f"condensed rules wrong at {at}")
@@ -739,9 +749,13 @@ def test_rule_rows_at_bases_verify_skips(b):
 
 @pytest.mark.parametrize("b", [20, 40, 80, 160, 320])
 def test_landing_memo_equals_grid_landing(b):
-    steps, cells = verify_mod._grid_landings(b, classify_base(b).n, _step_table(b))
+    steps, cells, worst = verify_mod._grid_landings(b, classify_base(b).n, _step_table(b))
+    most = [0] * 15
     for c, p in enumerate(canonical_pairs(b)):
         assert (steps[c], _pair_at(cells[c])) == grid_landing(p, b), p
+        most[cells[c]] = max(most[cells[c]], steps[c])
+    # each cell's most steps, kept once per path, equal a scan of every pair
+    assert list(worst) == most
 
 
 def test_landing_memo_keeps_the_budget():
@@ -760,8 +774,8 @@ def test_landing_memo_keeps_the_budget():
         for k, c in enumerate(off_grid):
             chained[c] = off_grid[k - 1] if 0 < k < length else 0
         if length == budget:
-            steps, _ = verify_mod._grid_landings(b, n, chained)
-            assert max(steps) == budget
+            steps, _, worst = verify_mod._grid_landings(b, n, chained)
+            assert max(steps) == max(worst) == budget
         else:
             with pytest.raises(RuntimeError, match="found no grid pair"):
                 verify_mod._grid_landings(b, n, chained)
@@ -772,7 +786,7 @@ def test_every_cell_bound_holds_cell_by_cell(n):
     # each pair is judged by the first grid cell its orbit lands on
     b = 5 * 2**n
     pdm = pair_distance_map(b)
-    _, cells = verify_mod._grid_landings(b, n, _step_table(b))
+    _, cells, _ = verify_mod._grid_landings(b, n, _step_table(b))
     cycles = set(cycle_cells(n))
     worst: dict = {}
     for c, p in enumerate(canonical_pairs(b)):
