@@ -606,7 +606,14 @@ def _drop_itself(row, at, b):
 
 def _corrupt_one_row(monkeypatch, name, at, mutate):
     """Corrupt the rule row of ``at`` at every kaprekar4 binding of ``name``,
-    so the walk and the checks read the same rows."""
+    so the walk and the checks read the same rows; ``condensed_rows`` names
+    the condensed rules, listed row by row."""
+    if name == "condensed_rows":
+        _list_condensed(
+            monkeypatch,
+            lambda rows, b: [(p, mutate(set(row), at, b) if p == at else row) for p, row in rows],
+        )
+        return
     real = getattr(verify_mod, name)
 
     def corrupted(pair, b):
@@ -625,6 +632,7 @@ def _corrupt_one_row(monkeypatch, name, at, mutate):
         # (12, 8) steps onto (5, 3), which base 20's map does not reach, so
         # the walk never takes its row
         ("predecessors_of", 20, (12, 8), "table wrong at "),
+        ("condensed_rows", 40, (13, 6), "condensed rules wrong at "),
     ],
 )
 def test_wrong_preimage_fails_predecessor_inversion(
@@ -640,6 +648,71 @@ def test_wrong_preimage_fails_predecessor_inversion(
     assert not check.passed
     assert check.detail == f"{detail}{at}"
     assert main(["verify", "--bases", f"{b}..{b}", "--depth", "deep", "--jobs", "1"]) == 1
+    capsys.readouterr()
+
+
+def _list_condensed(monkeypatch, edit):
+    """The condensed rules as a listing of their non-empty rows in code
+    order, each row's pair with the pairs it lists, edited by
+    ``edit(listing, b)`` and then written into the code image row by row."""
+    real = verify_mod.condensed_image
+
+    def listed(b, image):
+        rows = verify_mod._Rows()
+        real(b, rows)
+        listing = [(_pair_at(r), [_pair_at(q) for q in rows[r]]) for r in sorted(rows)]
+        written = 0
+        for p, row in edit(listing, b):
+            for q in row:
+                image[_code(q) : _code(q) + 1] = array("I", [_code(p)])
+                written += 1
+        return written
+
+    monkeypatch.setattr(verify_mod, "condensed_image", listed)
+
+
+def _skip(rows, at):
+    return [(p, row) for p, row in rows if p != at]
+
+
+def _swap_with_the_next(rows, at):
+    # the row of ``at`` and the row listed after it list each other's pairs
+    k = next(k for k, (p, _) in enumerate(rows) if p == at)
+    (p, row), (q, next_row) = rows[k], rows[k + 1]
+    return [*rows[:k], (p, next_row), (q, row), *rows[k + 2 :]]
+
+
+def _repeat(rows, at):
+    k = next(k for k, (p, _) in enumerate(rows) if p == at)
+    return [*rows[: k + 1], rows[k], *rows[k + 1 :]]
+
+
+@pytest.mark.parametrize(
+    "edit, at",
+    [
+        # (20, 19) is listed right after (20, 18), (39, 37) is the last row
+        # and (0, 0) the first
+        (_skip, (20, 19)),
+        (_skip, (39, 37)),
+        (_skip, (0, 0)),
+        # (20, 18) listing the pairs of (20, 19) fails first at (20, 18);
+        # listed twice, it writes its codes twice into an image that still
+        # equals the table, so only the write count sees it
+        (_swap_with_the_next, (20, 18)),
+        (_repeat, (20, 18)),
+    ],
+)
+def test_misplaced_condensed_row_fails_predecessor_inversion(monkeypatch, capsys, edit, at):
+    # a row left out, listing its neighbour's pairs or listed twice fails at
+    # that row's pair
+    from kaprekar4.cli import main
+
+    _list_condensed(monkeypatch, lambda rows, b: edit(rows, at))
+    rep = verify_base(40, "deep")
+    assert [(c.label, c.detail) for c in rep.checks if not c.passed] == [
+        ("predecessor-inversion", f"condensed rules wrong at {at}")
+    ]
+    assert main(["verify", "--bases", "40..40", "--depth", "deep", "--jobs", "1"]) == 1
     capsys.readouterr()
 
 
